@@ -2,35 +2,12 @@
 
 #include "grammar/GrammarGraph.h"
 
-#include "support/StringUtils.h"
-
 #include <cassert>
-#include <cstdlib>
 
 using namespace dggt;
 
-namespace {
-
-/// Per-domain reachability budget: above this many bytes for the full
-/// nodes² matrix, rows are computed lazily instead (DESIGN.md §15).
-/// The two evaluation domains sit far below the default (ASTMatcher,
-/// the larger one, needs ~2 MiB).
-size_t reachBudgetBytes() {
-  // Read per freeze (once per graph construction), not cached in a
-  // static: tests flip the budget between graphs to force the lazy path.
-  const size_t Default = 64u << 20;
-  const char *Env = std::getenv("DGGT_REACH_BUDGET_BYTES");
-  if (!Env || !*Env)
-    return Default;
-  if (std::optional<uint64_t> V = parseUnsigned(Env))
-    return static_cast<size_t>(*V);
-  return Default;
-}
-
-} // namespace
-
 GgNodeId GrammarGraph::addNode(GgNodeKind Kind, std::string Name) {
-  assert(!ReachFrozen && "graph is epoch-frozen");
+  assert(!CsrFrozen && "graph is epoch-frozen");
   Nodes.push_back({Kind, std::move(Name)});
   Out.emplace_back();
   In.emplace_back();
@@ -39,7 +16,7 @@ GgNodeId GrammarGraph::addNode(GgNodeKind Kind, std::string Name) {
 
 void GrammarGraph::addEdge(GgNodeId From, GgNodeId To, bool IsOr) {
   assert(From < Nodes.size() && To < Nodes.size() && "edge out of range");
-  assert(!ReachFrozen && "graph is epoch-frozen");
+  assert(!CsrFrozen && "graph is epoch-frozen");
   GgEdge E{From, To, IsOr};
   Out[From].push_back(E);
   In[To].push_back(E);
@@ -90,11 +67,11 @@ GrammarGraph::GrammarGraph(const Grammar &G) : G(G) {
     }
   }
 
-  freezeReachability();
+  freezeCsr();
 }
 
-void GrammarGraph::freezeReachability() {
-  assert(!ReachFrozen && "reachability must freeze exactly once per epoch");
+void GrammarGraph::freezeCsr() {
+  assert(!CsrFrozen && "the CSR must freeze exactly once per epoch");
 
   // CSR copies of both adjacency directions: one contiguous id array per
   // direction, offsets per node. Declaration order is preserved, so CSR
@@ -120,87 +97,11 @@ void GrammarGraph::freezeReachability() {
       OutList.push_back(E.To);
   }
 
-  WordsPerRow = (N + 63) / 64;
-  ApiBits.assign(WordsPerRow ? WordsPerRow : 1, 0);
+  ApiBits.assign(N / 64 + 1, 0);
   for (size_t I = 0; I < N; ++I)
     if (Nodes[I].Kind == GgNodeKind::Api)
       ApiBits[I >> 6] |= uint64_t(1) << (I & 63);
-  const size_t MatrixBytes = N * WordsPerRow * sizeof(uint64_t);
-  if (MatrixBytes <= reachBudgetBytes()) {
-    Reach.assign(N * WordsPerRow, 0);
-    for (size_t I = 0; I < N; ++I)
-      computeReachRow(static_cast<GgNodeId>(I), &Reach[I * WordsPerRow]);
-  } else {
-    LazyRows = std::make_unique<LazyReach>();
-    LazyRows->Rows.resize(N);
-    LazyRows->Ptrs =
-        std::make_unique<std::atomic<const uint64_t *>[]>(N);
-    for (size_t I = 0; I < N; ++I)
-      LazyRows->Ptrs[I].store(nullptr, std::memory_order_relaxed);
-  }
-  ReachFrozen = true;
-}
-
-void GrammarGraph::computeReachRow(GgNodeId Source, uint64_t *Row) const {
-  // BFS over the CSR out-adjacency; Row doubles as the visited set.
-  // Scratch is shared across the eager build and reused between lazy
-  // fills (both run under exclusive access: ctor / LazyM).
-  static thread_local std::vector<GgNodeId> Work;
-  Work.clear();
-  Work.push_back(Source);
-  Row[Source >> 6] |= uint64_t(1) << (Source & 63);
-  for (size_t Head = 0; Head < Work.size(); ++Head) {
-    GgNodeId Cur = Work[Head];
-    for (uint32_t E = OutHead[Cur]; E < OutHead[Cur + 1]; ++E) {
-      GgNodeId To = OutList[E];
-      uint64_t &W = Row[To >> 6];
-      uint64_t Bit = uint64_t(1) << (To & 63);
-      if (!(W & Bit)) {
-        W |= Bit;
-        Work.push_back(To);
-      }
-    }
-  }
-}
-
-GrammarGraph::ReachRow GrammarGraph::descendantSet(GgNodeId Ancestor) const {
-  assert(ReachFrozen && "reachability queried before freeze");
-  if (!LazyRows)
-    return ReachRow(&Reach[size_t(Ancestor) * WordsPerRow]);
-
-  // Lazy fallback: lock-free acquire on the published row pointer; a
-  // miss computes the row exactly once under the mutex (no duplicated
-  // BFS, unlike the old racy memo) and publishes with release.
-  const uint64_t *Row =
-      LazyRows->Ptrs[Ancestor].load(std::memory_order_acquire);
-  if (Row)
-    return ReachRow(Row);
-  std::lock_guard<std::mutex> L(LazyRows->M);
-  Row = LazyRows->Ptrs[Ancestor].load(std::memory_order_relaxed);
-  if (!Row) {
-    auto Owned = std::make_unique<uint64_t[]>(WordsPerRow);
-    for (size_t I = 0; I < WordsPerRow; ++I)
-      Owned[I] = 0;
-    computeReachRow(Ancestor, Owned.get());
-    Row = Owned.get();
-    LazyRows->Rows[Ancestor] = std::move(Owned);
-    LazyRows->ComputedRows.fetch_add(1, std::memory_order_relaxed);
-    LazyRows->Ptrs[Ancestor].store(Row, std::memory_order_release);
-  }
-  return ReachRow(Row);
-}
-
-bool GrammarGraph::reachable(GgNodeId Ancestor, GgNodeId Descendant) const {
-  if (Ancestor == Descendant)
-    return true;
-  return descendantSet(Ancestor)[Descendant];
-}
-
-size_t GrammarGraph::reachBytes() const {
-  if (!LazyRows)
-    return Reach.size() * sizeof(uint64_t);
-  return LazyRows->ComputedRows.load(std::memory_order_relaxed) *
-         WordsPerRow * sizeof(uint64_t);
+  CsrFrozen = true;
 }
 
 const std::vector<GgNodeId> &

@@ -16,13 +16,9 @@
 /// The grammar is immutable per epoch, so the graph is *frozen* at the
 /// end of construction into cache-friendly read-only form (DESIGN.md
 /// §15): a CSR (struct-of-arrays) copy of the adjacency for the hot
-/// traversals, and the full forward-reachability relation as a flat
-/// uint64_t bitset matrix — descendantSet() is then a lock-free row
-/// pointer instead of the old mutex-guarded per-source BFS memo (which
-/// also let two threads missing the memo run duplicate BFS work). When
-/// nodes² bits exceed the per-domain budget (DGGT_REACH_BUDGET_BYTES),
-/// rows fall back to lazy computation behind an atomically published
-/// row pointer: still lock-free on every hit, computed exactly once.
+/// traversals, plus one bit per node for the API-kind test. The graph
+/// keeps no reachability relation; each path search bounds itself with
+/// its own BFS from its targets (PathSearch.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,10 +27,7 @@
 
 #include "grammar/Grammar.h"
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -105,37 +98,6 @@ public:
   /// The non-terminal node owning a derivation node (its unique parent).
   GgNodeId derivationOwner(GgNodeId Derivation) const;
 
-  /// One row of the frozen reachability matrix: a flat bitset of
-  /// numNodes() bits (bit i = node i is a forward-descendant; reflexive).
-  /// Lock-free view into graph-owned storage, valid for the graph's
-  /// lifetime.
-  class ReachRow {
-  public:
-    bool operator[](size_t I) const {
-      return (Words[I >> 6] >> (I & 63)) & 1;
-    }
-    /// Raw words for word-wise OR (reachWordsPerRow() of them).
-    const uint64_t *words() const { return Words; }
-
-  private:
-    friend class GrammarGraph;
-    explicit ReachRow(const uint64_t *Words) : Words(Words) {}
-    const uint64_t *Words;
-  };
-
-  /// True if \p Descendant is reachable from \p Ancestor following edges
-  /// forward. Reflexive: reachable(X, X) is true. Lock-free bit test.
-  bool reachable(GgNodeId Ancestor, GgNodeId Descendant) const;
-
-  /// The full forward-reachability set of \p Ancestor (indexed by node
-  /// id, includes \p Ancestor itself). Lock-free on every call with the
-  /// eager matrix, and on every call after the first per row in lazy
-  /// fallback mode.
-  ReachRow descendantSet(GgNodeId Ancestor) const;
-
-  /// uint64_t words per reachability row (ceil(numNodes() / 64)).
-  size_t reachWordsPerRow() const { return WordsPerRow; }
-
   /// Frozen kind test: true if \p Id is an API occurrence node. One bit
   /// load — lets the path walk keep a running API count without touching
   /// the (string-carrying) node records.
@@ -143,14 +105,8 @@ public:
     return (ApiBits[Id >> 6] >> (Id & 63)) & 1;
   }
 
-  /// True once freezeReachability() ran (always, after construction).
-  bool reachabilityFrozen() const { return ReachFrozen; }
-  /// True if the full matrix was materialized eagerly; false in the
-  /// lazy-row fallback (matrix over the DGGT_REACH_BUDGET_BYTES budget).
-  bool reachMatrixEager() const { return !LazyRows; }
-  /// Resident bytes of reachability storage (eager: the whole matrix;
-  /// lazy: rows computed so far).
-  size_t reachBytes() const;
+  /// True once freezeCsr() ran (always, after construction).
+  bool csrFrozen() const { return CsrFrozen; }
 
   /// Number of API-kind nodes in the graph (occurrences, not names).
   size_t numApiOccurrences() const { return ApiOccurrenceCount; }
@@ -167,14 +123,10 @@ private:
   /// fresh occurrence node.
   GgNodeId symbolNode(const std::string &Sym);
 
-  /// Freezes the CSR adjacency and the reachability representation.
-  /// Called exactly once, at the end of construction (debug-asserted:
-  /// the epoch-frozen contract every lock-free reader relies on).
-  void freezeReachability();
-
-  /// BFS over the frozen CSR out-adjacency, writing \p Source's
-  /// reachability bits into \p Row (WordsPerRow words, pre-zeroed).
-  void computeReachRow(GgNodeId Source, uint64_t *Row) const;
+  /// Freezes the CSR adjacency and the API-kind bits. Called exactly
+  /// once, at the end of construction (debug-asserted: the epoch-frozen
+  /// contract every lock-free reader relies on).
+  void freezeCsr();
 
   const Grammar &G;
   std::vector<GgNode> Nodes;
@@ -189,21 +141,7 @@ private:
   std::vector<uint32_t> InHead, OutHead; ///< numNodes()+1 offsets each.
   std::vector<GgNodeId> InList, OutList; ///< Flat neighbor ids.
   std::vector<uint64_t> ApiBits;         ///< Bit per node: API kind.
-
-  /// Reachability. Eager mode: Reach holds numNodes() rows of
-  /// WordsPerRow words and RowPtrs is unused. Lazy mode: LazyRows holds
-  /// per-row storage, published through the RowPtrs atomics (acquire
-  /// load on read; computed once under LazyM on first miss).
-  size_t WordsPerRow = 0;
-  bool ReachFrozen = false;
-  std::vector<uint64_t> Reach;
-  struct LazyReach {
-    std::mutex M;
-    std::vector<std::unique_ptr<uint64_t[]>> Rows;
-    std::unique_ptr<std::atomic<const uint64_t *>[]> Ptrs;
-    std::atomic<size_t> ComputedRows{0};
-  };
-  std::unique_ptr<LazyReach> LazyRows;
+  bool CsrFrozen = false;
 };
 
 } // namespace dggt

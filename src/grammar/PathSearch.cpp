@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <cstring>
 #include <unordered_set>
 
 using namespace dggt;
@@ -20,21 +19,19 @@ namespace {
 
 std::atomic<bool> GDpCoreLegacy{false};
 
-inline bool testBit(const uint64_t *Words, GgNodeId I) {
-  return (Words[I >> 6] >> (I & 63)) & 1;
-}
-inline void setBit(uint64_t *Words, GgNodeId I) {
-  Words[I >> 6] |= uint64_t(1) << (I & 63);
-}
-inline void clearBit(uint64_t *Words, GgNodeId I) {
-  Words[I >> 6] &= ~(uint64_t(1) << (I & 63));
-}
+/// Distance of a node the walk may not enter: no target within the BFS
+/// ball, or the node is on the path already.
+constexpr uint32_t Unreachable = UINT32_MAX;
 
 /// One suspended level of the iterative walk.
 struct Frame {
-  GgNodeId Node;    ///< The node this frame pushed onto the path.
-  uint32_t EdgeIdx; ///< Next slot of the partitioned in-list to examine.
-  uint32_t EdgeEnd; ///< One past the node's last in-list slot.
+  GgNodeId Node;      ///< The node this frame pushed onto the path.
+  uint32_t SavedDist; ///< Node's distance before the push; restored at pop.
+  uint32_t EdgeIdx;   ///< Next slot of In to examine.
+  uint32_t EdgeEnd;   ///< Node's in-degree.
+  /// Node's in-list: the graph's own CSR slice, or (SavedDist <= 1) a
+  /// targets-first copy stacked in SearchScratch::InOrd.
+  const GgNodeId *In;
 };
 
 /// Per-thread retained workspace of the speed-of-light core. Buffers are
@@ -42,30 +39,24 @@ struct Frame {
 /// never reset — superseded carve-outs just stay behind), so a warm
 /// workspace serves every steady-state search with zero heap traffic.
 ///
-/// Invariants between searches: TargetBits is all-zero (the epilogue
-/// clears the set bits); Eligible and TgtNbr are rebuilt from scratch
-/// per search.
+/// Invariant between searches: Dist is all Unreachable. A search writes
+/// only the nodes its BFS queues (and restores on-path nodes at pop), so
+/// it resets exactly those instead of clearing the whole array.
 struct SearchScratch {
   Arena A;
 
-  /// Useful & ~OnPath folded into one set: a bit is up iff the node is
-  /// reachable from some target and not currently on the path, i.e. the
-  /// walk may enter it. Cleared on push, restored on pop — one bit op
-  /// where the legacy core pays an OnPath test plus a Useful test per
-  /// edge.
-  uint64_t *Eligible = nullptr;
-  uint64_t *TargetBits = nullptr;
-  /// Bit up iff some in-neighbor of the node is a target: frames of
-  /// nodes with no bit start directly in pass 1, skipping a whole edge
-  /// scan that could not find anything (pass 0 only enters targets).
-  uint64_t *TgtNbr = nullptr;
-  size_t Words = 0;
+  /// Fewest hops from a governor target down to the node, Unreachable
+  /// outside the search's BFS ball and while the node is on the path.
+  /// One load per edge answers "on the path?", "does a target reach
+  /// it?" and "is a target near enough?"; Dist == 0 marks the targets.
+  uint32_t *Dist = nullptr;
+  /// BFS queue, kept after the BFS as the list of nodes to reset.
+  GgNodeId *Queue = nullptr;
+  size_t NodeCap = 0;
 
-  /// Per-search stable partition of every node's CSR in-list, target
-  /// in-neighbors first. Ranges are the graph's own csrInHead() (the
-  /// partition permutes within a node's slice), so one linear sweep per
-  /// frame yields exactly the legacy targets-then-rest visit order with
-  /// no per-edge target test and no second pass over the list.
+  /// Targets-first copies of the in-lists of frames that have a target
+  /// in-neighbor, stacked in frame order (a simple path holds distinct
+  /// nodes, so numEdges slots always suffice).
   GgNodeId *InOrd = nullptr;
   size_t InOrdCap = 0;
 
@@ -78,20 +69,17 @@ struct SearchScratch {
   GgNodeId *PathNodes = nullptr;
   size_t PathNodeCap = 0;
 
-  void ensureInList(size_t EdgesNeed) {
+  void ensure(size_t NodesNeed, size_t EdgesNeed, unsigned DepthNeed,
+              unsigned PathsNeed) {
+    if (NodesNeed > NodeCap) {
+      Dist = A.allocateArray<uint32_t>(NodesNeed);
+      std::fill(Dist, Dist + NodesNeed, Unreachable);
+      Queue = A.allocateArray<GgNodeId>(NodesNeed);
+      NodeCap = NodesNeed;
+    }
     if (EdgesNeed > InOrdCap) {
       InOrd = A.allocateArray<GgNodeId>(EdgesNeed);
       InOrdCap = EdgesNeed;
-    }
-  }
-
-  void ensure(size_t WordsNeed, unsigned DepthNeed, unsigned PathsNeed) {
-    if (WordsNeed > Words) {
-      Eligible = A.allocateArray<uint64_t>(WordsNeed);
-      TargetBits = A.allocateArray<uint64_t>(WordsNeed);
-      TgtNbr = A.allocateArray<uint64_t>(WordsNeed);
-      std::memset(TargetBits, 0, WordsNeed * sizeof(uint64_t));
-      Words = WordsNeed;
     }
     if (DepthNeed > DepthCap) {
       StackNodes = A.allocateArray<GgNodeId>(DepthNeed);
@@ -102,10 +90,10 @@ struct SearchScratch {
       Views = A.allocateArray<RawPathView>(PathsNeed);
       ViewCap = PathsNeed;
     }
-    size_t NodesNeed = size_t(PathsNeed) * DepthNeed;
-    if (NodesNeed > PathNodeCap) {
-      PathNodes = A.allocateArray<GgNodeId>(NodesNeed);
-      PathNodeCap = NodesNeed;
+    size_t NodesOnPaths = size_t(PathsNeed) * DepthNeed;
+    if (NodesOnPaths > PathNodeCap) {
+      PathNodes = A.allocateArray<GgNodeId>(NodesOnPaths);
+      PathNodeCap = NodesOnPaths;
     }
   }
 };
@@ -122,9 +110,9 @@ SearchScratch &scratch() {
 }
 
 /// Legacy DP core: the recursive walk with std::vector<bool> sets and a
-/// per-record countApisOnPath() rescan. Kept verbatim (modulo the
-/// ReachRow type of descendantSet) as the bit-identity reference and the
-/// "before" side of the A/B benches.
+/// per-record countApisOnPath() rescan. Kept as the bit-identity
+/// reference and the "before" side of the A/B benches; its distance
+/// prune comes from its own unbounded BFS over outEdges().
 class ReversedSearch {
 public:
   ReversedSearch(const GrammarGraph &GG,
@@ -132,17 +120,24 @@ public:
                  const PathSearchLimits &Limits)
       : GG(GG), Limits(Limits),
         Targets(GovernorTargets.begin(), GovernorTargets.end()) {
-    // Every node on a recorded path is a forward-descendant of the target
-    // ending that path, so the backward walk can skip any node no target
-    // reaches. This filter is exact (it never changes the path set) and
-    // tames grammars with heavy non-terminal fan-in.
-    Useful.assign(GG.numNodes(), false);
-    for (GgNodeId T : Targets) {
-      GrammarGraph::ReachRow Desc = GG.descendantSet(T);
-      for (size_t I = 0; I < GG.numNodes(); ++I)
-        if (Desc[I])
-          Useful[I] = true;
-    }
+    // Dist[V] = fewest hops from any target down to V. A node at
+    // distance d cannot end a path in fewer than d more nodes, so the
+    // walk skips it when that would pass MaxPathNodes. The filter never
+    // drops a recordable path, and it tames grammars with heavy
+    // non-terminal fan-in.
+    Dist.assign(GG.numNodes(), Unreachable);
+    std::vector<GgNodeId> Work;
+    for (GgNodeId T : GovernorTargets)
+      if (Dist[T] != 0) {
+        Dist[T] = 0;
+        Work.push_back(T);
+      }
+    for (size_t Head = 0; Head < Work.size(); ++Head)
+      for (const GgEdge &E : GG.outEdges(Work[Head]))
+        if (Dist[E.To] == Unreachable) {
+          Dist[E.To] = Dist[Work[Head]] + 1;
+          Work.push_back(E.To);
+        }
   }
 
   PathSearchResult run(GgNodeId DependentStart) {
@@ -158,7 +153,7 @@ private:
   const GrammarGraph &GG;
   const PathSearchLimits &Limits;
   std::unordered_set<GgNodeId> Targets;
-  std::vector<bool> Useful;
+  std::vector<uint32_t> Dist;
   std::vector<bool> OnPath;
   std::vector<GgNodeId> Stack;
   PathSearchResult Result;
@@ -201,8 +196,8 @@ private:
           ++EdgeScans;
           if (OnPath[E.From])
             continue; // Simple paths only (grammar recursion).
-          if (!Useful[E.From])
-            continue; // No target reaches this node.
+          if (Dist[E.From] >= Limits.MaxPathNodes - Stack.size())
+            continue; // No target within the nodes MaxPathNodes leaves.
           bool IsTarget = Targets.count(E.From) != 0;
           if (IsTarget != (Pass == 0))
             continue;
@@ -232,51 +227,40 @@ RawSearchResult dggt::searchPathsRaw(const GrammarGraph &GG,
                                      GgNodeId DependentStart,
                                      const std::vector<GgNodeId> &GovernorTargets,
                                      const PathSearchLimits &Limits) {
-  assert(GG.reachabilityFrozen() && "search requires a frozen graph");
-  SearchScratch &S = scratch();
-  const size_t Words = GG.reachWordsPerRow();
-  S.ensure(Words, Limits.MaxPathNodes, Limits.MaxPaths);
-
-  // Eligible = word-wise OR of the targets' frozen reachability rows:
-  // the legacy per-node loop over descendantSet() collapses to Words ORs
-  // per target. Exactly the legacy Useful set before any node is pushed.
-  // TgtNbr marks each target's out-neighbors, i.e. exactly the nodes
-  // whose pass-0 edge scan can succeed.
-  std::memset(S.Eligible, 0, Words * sizeof(uint64_t));
-  std::memset(S.TgtNbr, 0, Words * sizeof(uint64_t));
-  const uint32_t *OutHead = GG.csrOutHead();
-  const GgNodeId *OutList = GG.csrOutNeighbors();
-  for (GgNodeId T : GovernorTargets) {
-    const uint64_t *Row = GG.descendantSet(T).words();
-    for (size_t I = 0; I < Words; ++I)
-      S.Eligible[I] |= Row[I];
-    setBit(S.TargetBits, T);
-    for (uint32_t E = OutHead[T]; E < OutHead[T + 1]; ++E)
-      setBit(S.TgtNbr, OutList[E]);
-  }
-
+  assert(GG.csrFrozen() && "search requires a frozen graph");
   const uint32_t *InHead = GG.csrInHead();
   const GgNodeId *InList = GG.csrInNeighbors();
+  const uint32_t *OutHead = GG.csrOutHead();
+  const GgNodeId *OutList = GG.csrOutNeighbors();
   const size_t NumNodes = GG.numNodes();
+  SearchScratch &S = scratch();
+  S.ensure(NumNodes, InHead[NumNodes], Limits.MaxPathNodes, Limits.MaxPaths);
+  uint32_t *Dist = S.Dist;
 
-  // Stable-partition each node's in-list, targets first, into the
-  // per-search scratch: most nodes have no target in-neighbor (TgtNbr
-  // bit down) and take the memcpy fast path. One O(V + E) sweep here
-  // buys a single-pass, target-test-free edge loop below.
-  S.ensureInList(InHead[NumNodes]);
-  for (GgNodeId N = 0; N < NumNodes; ++N) {
-    const uint32_t Lo = InHead[N], Hi = InHead[N + 1];
-    if (!testBit(S.TgtNbr, N)) {
-      std::memcpy(S.InOrd + Lo, InList + Lo, (Hi - Lo) * sizeof(GgNodeId));
-      continue;
+  // Multi-source BFS from the targets over the out-CSR. The walk enters
+  // predecessors at depth 2 and deeper, so a node more than
+  // MaxPathNodes - 2 hops below every target lies on no recordable path
+  // and the ball stops there. It takes at least one hop, so that
+  // Dist <= 1 marks every node with a target in-neighbor.
+  const uint32_t HopCap = std::max(Limits.MaxPathNodes, 3u) - 2;
+  size_t QueueLen = 0;
+  uint64_t BfsScans = 0;
+  for (GgNodeId T : GovernorTargets)
+    if (Dist[T] != 0) {
+      Dist[T] = 0;
+      S.Queue[QueueLen++] = T;
     }
-    uint32_t W = Lo;
-    for (uint32_t E = Lo; E < Hi; ++E)
-      if (testBit(S.TargetBits, InList[E]))
-        S.InOrd[W++] = InList[E];
-    for (uint32_t E = Lo; E < Hi; ++E)
-      if (!testBit(S.TargetBits, InList[E]))
-        S.InOrd[W++] = InList[E];
+  for (size_t Head = 0; Head < QueueLen; ++Head) {
+    const GgNodeId V = S.Queue[Head];
+    const uint32_t D = Dist[V];
+    if (D == HopCap)
+      break; // FIFO order: every node left in the queue is at the cap.
+    BfsScans += OutHead[V + 1] - OutHead[V];
+    for (uint32_t E = OutHead[V]; E < OutHead[V + 1]; ++E)
+      if (Dist[OutList[E]] == Unreachable) {
+        Dist[OutList[E]] = D + 1;
+        S.Queue[QueueLen++] = OutList[E];
+      }
   }
 
   RawSearchResult Result;
@@ -289,6 +273,7 @@ RawSearchResult dggt::searchPathsRaw(const GrammarGraph &GG,
   size_t NumPaths = 0;
   size_t PathTail = 0;      // Bump offset into S.PathNodes.
   unsigned FrameTop = 0;
+  size_t InOrdTop = 0;      // Bump offset into S.InOrd.
 
   auto record = [&]() {
     if (NumPaths >= Limits.MaxPaths) {
@@ -304,11 +289,15 @@ RawSearchResult dggt::searchPathsRaw(const GrammarGraph &GG,
     PathTail += Depth;
   };
 
-  auto popNode = [&](GgNodeId Node) {
-    assert(Depth > 0 && S.StackNodes[Depth - 1] == Node && "unbalanced pop");
-    setBit(S.Eligible, Node); // Leaves the path: enterable again.
+  auto popFrame = [&]() {
+    const Frame &F = S.Frames[--FrameTop];
+    assert(Depth > 0 && S.StackNodes[Depth - 1] == F.Node && "unbalanced pop");
+    EdgeScans += F.EdgeIdx;
+    Dist[F.Node] = F.SavedDist; // Leaves the path: enterable again.
+    if (F.SavedDist <= 1)
+      InOrdTop -= F.EdgeEnd;
     --Depth;
-    if (GG.isApiNode(Node))
+    if (GG.isApiNode(F.Node))
       --ApiOnStack;
   };
 
@@ -326,67 +315,74 @@ RawSearchResult dggt::searchPathsRaw(const GrammarGraph &GG,
     S.StackNodes[Depth++] = Node;
     if (GG.isApiNode(Node))
       ++ApiOnStack;
+    const uint32_t D = Dist[Node];
     // Stop at the first governor target on this branch; do not extend
     // beyond it. A target only counts once the path is non-trivial.
-    // The leaf is unwound immediately, so its Eligible bit never moves
-    // (the legacy core's set-then-clear of OnPath, folded away).
-    if (Depth > 1 && testBit(S.TargetBits, Node)) {
+    // The leaf is unwound immediately, so its distance never moves.
+    if (Depth > 1 && D == 0) {
       record();
       --Depth;
       if (GG.isApiNode(Node))
         --ApiOnStack;
       return false;
     }
-    clearBit(S.Eligible, Node); // On the path now: simple paths only.
-    S.Frames[FrameTop++] = Frame{Node, InHead[Node], InHead[Node + 1]};
+    Dist[Node] = Unreachable; // On the path now: simple paths only.
+    const uint32_t Lo = InHead[Node], Deg = InHead[Node + 1] - Lo;
+    Frame &F = S.Frames[FrameTop++];
+    F = Frame{Node, D, 0, Deg, InList + Lo};
+    if (D <= 1) {
+      // A target feeds this node: stable-partition its in-list, targets
+      // first, so one sweep visits candidates in exactly the legacy
+      // two-pass order (shortest paths on record before any visit
+      // budget runs out). Every other frame reads the graph's list.
+      GgNodeId *Ord = S.InOrd + InOrdTop;
+      InOrdTop += Deg;
+      uint32_t W = 0;
+      for (uint32_t E = 0; E < Deg; ++E)
+        if (Dist[InList[Lo + E]] == 0)
+          Ord[W++] = InList[Lo + E];
+      for (uint32_t E = 0; E < Deg; ++E)
+        if (Dist[InList[Lo + E]] != 0)
+          Ord[W++] = InList[Lo + E];
+      F.In = Ord;
+    }
     return true;
   };
 
   tryEnter(DependentStart);
   while (FrameTop != 0) {
     Frame &F = S.Frames[FrameTop - 1];
-    if (Truncated) {
-      EdgeScans += F.EdgeIdx - InHead[F.Node];
-      popNode(F.Node);
-      --FrameTop;
-      continue;
-    }
     bool Descended = false;
-    // The in-list partition puts target predecessors first, so this
-    // single sweep visits candidates in exactly the legacy two-pass
-    // order (shortest paths on record before any visit budget runs out).
-    while (F.EdgeIdx != F.EdgeEnd) {
-      GgNodeId From = S.InOrd[F.EdgeIdx++];
-      if (!testBit(S.Eligible, From))
-        continue; // On the path already, or no target reaches it.
+    // Skip From when Depth + 1 + Dist[From] > MaxPathNodes: no target is
+    // near enough for a path through From to fit. Unreachable (on the
+    // path, or outside the BFS ball) never fits.
+    const uint32_t Slack = Limits.MaxPathNodes - Depth;
+    while (!Truncated && F.EdgeIdx != F.EdgeEnd) {
+      GgNodeId From = F.In[F.EdgeIdx++];
+      if (Dist[From] >= Slack)
+        continue;
       if (tryEnter(From)) {
         Descended = true;
         break;
       }
-      if (Truncated)
-        break;
     }
-    if (Descended)
-      continue;
-    EdgeScans += F.EdgeIdx - InHead[F.Node];
-    popNode(F.Node);
-    --FrameTop;
+    if (!Descended)
+      popFrame();
   }
-  assert(Depth == 0 && "walk must unwind completely");
+  assert(Depth == 0 && InOrdTop == 0 && "walk must unwind completely");
 
-  // Restore the all-zero TargetBits invariant for the next search.
-  for (GgNodeId T : GovernorTargets)
-    clearBit(S.TargetBits, T);
+  // Restore the all-Unreachable invariant for the next search: the walk
+  // put every on-path distance back, so only the BFS ball is dirty.
+  for (size_t I = 0; I < QueueLen; ++I)
+    Dist[S.Queue[I]] = Unreachable;
 
-  // One flush per search into the query's cost vector: the eligibility
-  // setup touches Words words per target plus the two memsets, and every
-  // edge scan tests one Eligible word.
+  // One flush per search into the query's cost vector: the distance
+  // entries the BFS seeds and tests, one per edge scan, and the reset.
   {
     obs::CostCounters &C = obs::queryCost();
     C.InEdgeScans += EdgeScans;
     C.BitsetWordsTouched +=
-        static_cast<uint64_t>(Words) * (GovernorTargets.size() + 2) +
-        EdgeScans;
+        GovernorTargets.size() + BfsScans + EdgeScans + QueueLen;
   }
 
   Result.NumPaths = NumPaths;

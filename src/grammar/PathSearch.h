@@ -8,16 +8,22 @@
 /// over the grammar graph's in-edges, which is why the paper calls it a
 /// reversed all-path search (Section II, step 4).
 ///
+/// Each search first runs a multi-source BFS from its governor targets
+/// over the frozen out-CSR, bounded at MaxPathNodes - 2 hops, and the
+/// walk skips any predecessor from which no target can be reached within
+/// the nodes MaxPathNodes still allows (an admissible bound: it never
+/// drops a recordable path).
+///
 /// Two implementations share these entry points (selected by
 /// setDpCoreLegacy(), bit-identical by construction — DESIGN.md §15):
 /// the speed-of-light core — an explicit-stack iterative walk over the
-/// frozen CSR adjacency with flat uint64_t bitsets for the OnPath /
-/// Useful / Target tests, a running API count maintained on the stack,
-/// and all scratch (bitsets, frames, recorded path nodes) carved from a
-/// per-thread arena-backed workspace that retains its memory, so a
-/// steady-state search does zero global heap traffic — and the legacy
-/// recursive walk it replaced, kept for A/B benches and the bit-identity
-/// sweep.
+/// frozen CSR adjacency whose BFS distances double as the on-path set,
+/// a running API count maintained on the stack, and all scratch
+/// (distances, frames, recorded path nodes) in a per-thread arena-backed
+/// workspace that retains its memory and is reset sparsely, so a
+/// steady-state search does zero global heap traffic and costs what it
+/// visits — and the legacy recursive walk it replaced, kept for A/B
+/// benches and the bit-identity sweep.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -79,7 +85,7 @@ RawSearchResult searchPathsRaw(const GrammarGraph &GG, GgNodeId DependentStart,
                                const std::vector<GgNodeId> &GovernorTargets,
                                const PathSearchLimits &Limits = {});
 
-/// Selects the legacy (recursive, mutex-memo-era) DP core process-wide.
+/// Selects the legacy (recursive) DP core process-wide.
 /// Both cores return bit-identical results; the switch exists for the
 /// before/after benches and the equivalence sweep. Default: off.
 void setDpCoreLegacy(bool Legacy);

@@ -368,15 +368,18 @@ WordToApiMatcher::candidatesForNode(const DepNode &Node) const {
 }
 
 WordToApiMap WordToApiMatcher::mapGraph(const DependencyGraph &Graph,
-                                        ApiCandidateCache *Cache) const {
+                                        ApiCandidateCache *Cache,
+                                        unsigned *CacheHits) const {
   WordToApiMap Map;
   Map.Candidates.reserve(Graph.size());
+  unsigned Hits = 0;
   for (unsigned Id = 0; Id < Graph.size(); ++Id) {
     const DepNode &Node = Graph.node(Id);
     if (Cache) {
       std::string Key = ApiCandidateCache::keyFor(Node);
       if (std::optional<std::vector<ApiCandidate>> Hit = Cache->lookup(Key)) {
         Map.Candidates.push_back(std::move(*Hit));
+        ++Hits;
         continue;
       }
       Map.Candidates.push_back(candidatesForNode(Node));
@@ -385,5 +388,7 @@ WordToApiMap WordToApiMatcher::mapGraph(const DependencyGraph &Graph,
     }
     Map.Candidates.push_back(candidatesForNode(Node));
   }
+  if (CacheHits)
+    *CacheHits = Hits;
   return Map;
 }

@@ -137,9 +137,12 @@ public:
   /// descriptions (weight 1) on Porter stems with thesaurus expansion.
   ///
   /// With a non-null \p Cache (which must be dedicated to this matcher),
-  /// per-node candidate lists are memoized across queries.
+  /// per-node candidate lists are memoized across queries. A non-null
+  /// \p CacheHits receives the number of nodes this call answered from
+  /// the cache (the cache's own stats are shared with other callers).
   WordToApiMap mapGraph(const DependencyGraph &Graph,
-                        ApiCandidateCache *Cache = nullptr) const;
+                        ApiCandidateCache *Cache = nullptr,
+                        unsigned *CacheHits = nullptr) const;
 
   /// Scores a single phrase against a single API (exposed for tests and
   /// for the matcher ablation bench).

@@ -44,7 +44,9 @@ struct CostCounters {
   uint64_t PathCacheHits = 0;  ///< Searches answered by the shared cache.
   uint64_t NodeVisits = 0;     ///< DP-walk node entries (both cores).
   uint64_t InEdgeScans = 0;    ///< In-edge slots examined by the walk.
-  uint64_t BitsetWordsTouched = 0; ///< Reachability/eligibility words OR'd or tested.
+  /// Path-search distance entries touched: the BFS's seeds and
+  /// out-edge tests, one per in-edge scan, and the sparse reset.
+  uint64_t BitsetWordsTouched = 0;
   uint64_t MergeCandidates = 0;    ///< Sibling-merge cross-product size.
   uint64_t MergeSurvivors = 0;     ///< Combinations surviving grammar pruning.
   uint64_t ConflictChecks = 0;     ///< Pairwise or-edge conflict tests.

@@ -650,19 +650,24 @@ ServiceReport SynthesisService::query(std::string_view DomainName,
         DS->settle(Probe, /*DeadlineMiss=*/false);
         return Finish(ServiceStatus::Ok);
       }
-      if (Last == AttemptStatus::NoCandidates) {
+      // A completed search that found no valid tree is the answer: a
+      // lower rung only searches less. Only a timeout degrades.
+      if (Last == AttemptStatus::NoCandidates ||
+          Last == AttemptStatus::NoValidTree) {
         DS->settle(Probe, /*DeadlineMiss=*/false);
-        return Finish(ServiceStatus::NoCandidates);
+        return Finish(Last == AttemptStatus::NoCandidates
+                          ? ServiceStatus::NoCandidates
+                          : ServiceStatus::NoAnswer);
       }
-      // Timeout and NoValidTree are not transient: degrade to the next
-      // rung instead of burning budget on a retry of the same work.
+      // A timeout is not transient: degrade to the next rung instead of
+      // burning budget on a retry of the same work.
       break;
     }
   }
 
   // No rung answered. The outcome is a deadline miss when time actually
-  // ran out (or the final rung itself timed out); a ladder that completed
-  // with deterministic negatives is a definitive no-answer.
+  // ran out (or the final rung itself timed out); a ladder whose rungs
+  // all spent their transient-fault retries is a definitive no-answer.
   bool DeadlineMiss = BudgetRanOut || Last == AttemptStatus::Timeout;
   DS->settle(Probe, DeadlineMiss);
   return Finish(DeadlineMiss ? ServiceStatus::DeadlineExceeded

@@ -58,9 +58,9 @@ enum class ServiceStatus {
   Ok,               ///< Some rung produced a codelet.
   NoCandidates,     ///< A word matched no API; no rung can remap words,
                     ///< so the query fails fast before the ladder runs.
-  NoAnswer,         ///< Every rung completed and none found a valid tree
-                    ///< (includes a rung that exhausted transient-fault
-                    ///< retries).
+  NoAnswer,         ///< A rung completed without a valid tree (final: a
+                    ///< lower rung only searches less), or every rung
+                    ///< exhausted its transient-fault retries.
   DeadlineExceeded, ///< The total budget ran out, or the final rung
                     ///< itself timed out.
   CircuitOpen,      ///< Admission control rejected the query outright.

@@ -125,18 +125,20 @@ SynthesisFrontEnd::prepareFromGraph(const DependencyGraph &Pruned,
     obs::ScopedSpan S("pipeline.word_to_api");
     obs::ScopedLatencyMs T(H);
     StageTimer ST(Q.StageMs[2]);
-    uint64_t Hits0 = Caches.Words ? Caches.Words->stats().Hits : 0;
-    Q.Words = Matcher.mapGraph(Q.Pruned, Caches.Words);
-    Q.WordCacheHit = Caches.Words && Caches.Words->stats().Hits > Hits0;
+    unsigned WordHits = 0;
+    Q.Words = Matcher.mapGraph(Q.Pruned, Caches.Words, &WordHits);
+    Q.WordCacheHit = WordHits > 0;
   }
   {
     static obs::Histogram &H = stageHistogram("edge-to-path");
     obs::ScopedSpan S("pipeline.edge_to_path");
     obs::ScopedLatencyMs T(H);
     StageTimer ST(Q.StageMs[3]);
-    uint64_t Hits0 = Caches.Paths ? Caches.Paths->stats().Hits : 0;
+    // This thread's own count: the shared cache's stats also move with
+    // other workers' hits.
+    const uint64_t Hits0 = obs::queryCost().PathCacheHits;
     Q.Edges = buildEdgeToPath(GG, Doc, Q.Pruned, Q.Words, Limits, Caches.Paths);
-    Q.PathCacheHit = Caches.Paths && Caches.Paths->stats().Hits > Hits0;
+    Q.PathCacheHit = obs::queryCost().PathCacheHits > Hits0;
   }
   return Q;
 }

@@ -48,10 +48,9 @@ struct PreparedQuery {
   /// that did not run (prepareFromGraph skips the first two). Feeds the
   /// wide-event query log's stage breakdown.
   double StageMs[4] = {0.0, 0.0, 0.0, 0.0};
-  /// Best-effort shared-cache hit attribution for this query, derived
-  /// from the cache stats delta around the stage — concurrent queries
-  /// against the same cache can misattribute, which is acceptable for a
-  /// forensic log field.
+  /// True if this query's own lookups hit the shared cache (at least one
+  /// node's candidates / one path search answered from it). Counted on
+  /// the preparing thread, so other workers' hits never mark this query.
   bool PathCacheHit = false;
   bool WordCacheHit = false;
 

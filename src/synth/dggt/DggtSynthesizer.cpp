@@ -13,8 +13,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <set>
 
@@ -721,10 +719,6 @@ SynthesisResult DggtSynthesizer::run(const PreparedQuery &Query,
       Edges = &Rebuilt;
     }
     SynthesisResult R = synthesizeVariant(Query, Variant, *Edges, B);
-    if (std::getenv("DGGT_DEBUG_VARIANTS"))
-      std::fprintf(stderr, "variant: %s '%s' paths=%u\n",
-                   std::string(statusName(R.St)).c_str(),
-                   R.Expression.c_str(), R.Stats.PathsAfterReloc);
     if (R.St == SynthesisResult::Status::Timeout) {
       Result.St = SynthesisResult::Status::Timeout;
       Result.Stats = Base;

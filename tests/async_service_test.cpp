@@ -376,6 +376,45 @@ TEST_F(AsyncServiceTest, RepeatedQueryHitsCachesAndStaysIdentical) {
   EXPECT_GT(Words->stats().Hits, 0u);
 }
 
+TEST_F(AsyncServiceTest, CacheHitFlagsCountOnlyTheQuerysOwnLookups) {
+  // One thread keeps hitting both caches while another prepares queries
+  // whose every word is new. The shared caches' stats move during the
+  // second thread's queries; its flags must stay false.
+  const SynthesisFrontEnd &FE = textEditing().frontEnd();
+  PathCache Paths("flags", 1u << 20);
+  ApiCandidateCache Words("flags", 1u << 20);
+  SharedQueryCaches Caches{&Paths, &Words};
+  (void)FE.prepare("sort all lines", Caches);
+  PreparedQuery Warm = FE.prepare("sort all lines", Caches);
+  ASSERT_TRUE(Warm.PathCacheHit);
+  ASSERT_TRUE(Warm.WordCacheHit);
+
+  std::atomic<bool> Stop{false};
+  std::atomic<unsigned> HitterRuns{0};
+  std::thread Hitter([&] {
+    while (!Stop.load(std::memory_order_relaxed)) {
+      (void)FE.prepare("sort all lines", Caches);
+      HitterRuns.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  // Start once the hitter runs, and keep going until it has hit the
+  // caches many times alongside the misses.
+  while (HitterRuns.load() == 0)
+    std::this_thread::yield();
+  const unsigned Runs0 = HitterRuns.load();
+  for (unsigned I = 0; I < 300 || HitterRuns.load() < Runs0 + 100; ++I) {
+    // Letters only, so each query is one fresh word-cache key per word.
+    std::string Fresh = "zorb";
+    for (unsigned N = I; N; N /= 10)
+      Fresh += static_cast<char>('a' + N % 10);
+    PreparedQuery Q = FE.prepare(Fresh + "x " + Fresh + "y", Caches);
+    EXPECT_FALSE(Q.WordCacheHit) << Fresh;
+    EXPECT_FALSE(Q.PathCacheHit) << Fresh;
+  }
+  Stop.store(true, std::memory_order_relaxed);
+  Hitter.join();
+}
+
 TEST_F(AsyncServiceTest, CachesCanBeDisabledPerDomain) {
   AsyncOptions Opts;
   Opts.Service.Overrides["TextEditing"].PathCacheBytes = 0;

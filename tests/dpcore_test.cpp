@@ -1,8 +1,9 @@
 //===- tests/dpcore_test.cpp - Speed-of-light DP core tests ---------------===//
 //
-// Covers the epoch-frozen reachability bitsets and CSR adjacency of
-// GrammarGraph, the iterative PathSearch core (bit-identity against the
-// legacy recursive walk, including every truncation edge), the Arena bump
+// Covers the epoch-frozen CSR adjacency of GrammarGraph, the iterative
+// PathSearch core (bit-identity against the legacy recursive walk,
+// including every truncation edge and the distance prune; the sparse
+// reset of its per-thread workspace), the Arena bump
 // allocator, the arena-backed N_API index of DynamicGrammarGraph, and the
 // zero-heap steady-state property of the search workspace.
 //
@@ -10,6 +11,7 @@
 
 #include "grammar/GrammarGraph.h"
 #include "grammar/PathSearch.h"
+#include "obs/Cost.h"
 #include "support/Arena.h"
 #include "synth/dggt/DynamicGrammarGraph.h"
 
@@ -19,8 +21,6 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <queue>
-#include <set>
 #include <thread>
 
 using namespace dggt;
@@ -76,20 +76,26 @@ Grammar makeLayeredGrammar(unsigned Layers) {
   return G;
 }
 
-/// Reference reachability: plain BFS over outEdges(), independent of the
-/// frozen matrix under test.
-std::set<GgNodeId> bfsDescendants(const GrammarGraph &GG, GgNodeId From) {
-  std::set<GgNodeId> Seen{From};
-  std::queue<GgNodeId> Work;
-  Work.push(From);
-  while (!Work.empty()) {
-    GgNodeId Cur = Work.front();
-    Work.pop();
-    for (const GgEdge &E : GG.outEdges(Cur))
-      if (Seen.insert(E.To).second)
-        Work.push(E.To);
+/// A short path behind a long detour:
+///   s    ::= TOP x
+///   dK   ::= DKA d(K+1) | DKB d(K+1)      (K < Layers)
+///   dN   ::= leaf                         (N = Layers)
+///   x    ::= d0 | SHORT leaf
+///   leaf ::= LEAF
+/// The d-chain is declared before x, so leaf's in-list holds the detour
+/// (3 * Layers + 8 nodes from LEAF up to TOP, 2^Layers ways) ahead of
+/// the 7-node path through SHORT.
+Grammar makeDetourGrammar(unsigned Layers) {
+  Grammar G;
+  G.addProduction("s", {{"TOP", "x"}});
+  for (unsigned L = 0; L < Layers; ++L) {
+    std::string K = std::to_string(L), Next = "d" + std::to_string(L + 1);
+    G.addProduction("d" + K, {{"D" + K + "A", Next}, {"D" + K + "B", Next}});
   }
-  return Seen;
+  G.addProduction("d" + std::to_string(Layers), {{"leaf"}});
+  G.addProduction("x", {{"d0"}, {"SHORT", "leaf"}});
+  G.addProduction("leaf", {{"LEAF"}});
+  return G;
 }
 
 /// Runs one search in both cores and requires bit-identical results:
@@ -111,54 +117,15 @@ void expectCoresAgree(const GrammarGraph &GG, GgNodeId Start,
   }
 }
 
-/// RAII env-var override (single-threaded test setup only).
-class ScopedEnv {
-public:
-  ScopedEnv(const char *Name, const char *Value) : Name(Name) {
-    const char *Old = std::getenv(Name);
-    if (Old)
-      Saved = Old;
-    ::setenv(Name, Value, 1);
-  }
-  ~ScopedEnv() {
-    if (Saved)
-      ::setenv(Name, Saved->c_str(), 1);
-    else
-      ::unsetenv(Name);
-  }
-
-private:
-  const char *Name;
-  std::optional<std::string> Saved;
-};
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Frozen reachability
+// Frozen CSR
 //===----------------------------------------------------------------------===//
 
 TEST(DpCoreReach, FreezesOnceAtConstruction) {
   PaperFragment F;
-  EXPECT_TRUE(F.GG->reachabilityFrozen());
-  EXPECT_TRUE(F.GG->reachMatrixEager());
-  // The whole matrix is resident: numNodes rows of reachWordsPerRow words.
-  EXPECT_EQ(F.GG->reachBytes(),
-            F.GG->numNodes() * F.GG->reachWordsPerRow() * sizeof(uint64_t));
-}
-
-TEST(DpCoreReach, MatrixMatchesBfsReference) {
-  PaperFragment F;
-  const GrammarGraph &GG = *F.GG;
-  for (GgNodeId From = 0; From < GG.numNodes(); ++From) {
-    std::set<GgNodeId> Ref = bfsDescendants(GG, From);
-    GrammarGraph::ReachRow Row = GG.descendantSet(From);
-    for (GgNodeId To = 0; To < GG.numNodes(); ++To) {
-      EXPECT_EQ(Row[To], Ref.count(To) != 0)
-          << "from=" << From << " to=" << To;
-      EXPECT_EQ(GG.reachable(From, To), Ref.count(To) != 0);
-    }
-  }
+  EXPECT_TRUE(F.GG->csrFrozen());
 }
 
 TEST(DpCoreReach, CsrMirrorsAdjacencyInDeclarationOrder) {
@@ -183,46 +150,6 @@ TEST(DpCoreReach, ApiBitsMatchNodeKinds) {
   for (GgNodeId Id = 0; Id < F.GG->numNodes(); ++Id)
     EXPECT_EQ(F.GG->isApiNode(Id),
               F.GG->node(Id).Kind == GgNodeKind::Api);
-}
-
-TEST(DpCoreReach, LazyFallbackMatchesEagerMatrix) {
-  // Bare graphs (no query preparation, which would touch rows already).
-  Grammar GEager = makeLayeredGrammar(4);
-  GrammarGraph Eager(GEager);
-  ScopedEnv Budget("DGGT_REACH_BUDGET_BYTES", "1");
-  Grammar GLazy = makeLayeredGrammar(4);
-  GrammarGraph Lazy(GLazy);
-  ASSERT_TRUE(Eager.reachMatrixEager());
-  ASSERT_FALSE(Lazy.reachMatrixEager());
-  EXPECT_EQ(Lazy.reachBytes(), 0u); // Nothing computed yet.
-  for (GgNodeId From = 0; From < Eager.numNodes(); ++From)
-    for (GgNodeId To = 0; To < Eager.numNodes(); ++To)
-      EXPECT_EQ(Lazy.reachable(From, To), Eager.reachable(From, To));
-  // Every row touched exactly once.
-  EXPECT_EQ(Lazy.reachBytes(),
-            Lazy.numNodes() * Lazy.reachWordsPerRow() * sizeof(uint64_t));
-}
-
-TEST(DpCoreReach, LazyRowComputedOnceUnderContention) {
-  // The old shared_mutex memo let two threads missing the same row both
-  // run the BFS; the frozen design computes each row exactly once.
-  // reachBytes() counts computed rows, so duplicates would overshoot.
-  ScopedEnv Budget("DGGT_REACH_BUDGET_BYTES", "1");
-  Grammar G = makeLayeredGrammar(4);
-  GrammarGraph GG(G);
-  ASSERT_FALSE(GG.reachMatrixEager());
-  GgNodeId Row = GG.startNode();
-  constexpr int NumThreads = 8;
-  std::vector<std::thread> Threads;
-  std::vector<const uint64_t *> Seen(NumThreads, nullptr);
-  for (int T = 0; T < NumThreads; ++T)
-    Threads.emplace_back(
-        [&, T] { Seen[T] = GG.descendantSet(Row).words(); });
-  for (std::thread &T : Threads)
-    T.join();
-  for (int T = 1; T < NumThreads; ++T)
-    EXPECT_EQ(Seen[T], Seen[0]) << "row storage must be unique";
-  EXPECT_EQ(GG.reachBytes(), GG.reachWordsPerRow() * sizeof(uint64_t));
 }
 
 //===----------------------------------------------------------------------===//
@@ -294,6 +221,39 @@ TEST_F(DpCoreParity, TargetOnStartNodeAndSelfSearch) {
   expectCoresAgree(GG, Insert, {GG.apiOccurrences("ALL").front()}, {});
 }
 
+TEST_F(DpCoreParity, DistancePruneReachesAShortPathBehindALongDetour) {
+  Grammar G = makeDetourGrammar(4);
+  GrammarGraph GG(G);
+  GgNodeId Leaf = GG.apiOccurrences("LEAF").front();
+  std::vector<GgNodeId> Top = {GG.apiOccurrences("TOP").front()};
+  PathSearchLimits L;
+  L.MaxPathNodes = 10; // The detour needs 20 nodes, the short path 7.
+  L.MaxPaths = 64;
+  L.MaxVisits = 12; // Fewer than the detour's first 10 levels hold.
+
+  // No target is near enough to any detour node, so the walk never
+  // enters the detour and reaches SHORT within the budget.
+  PathSearchResult R = findPathsBetween(GG, Leaf, Top, L);
+  EXPECT_FALSE(R.Truncated);
+  EXPECT_EQ(R.Visits, 7u);
+  ASSERT_EQ(R.Paths.size(), 1u);
+  std::vector<std::string> Names;
+  for (GgNodeId N : R.Paths[0].Nodes)
+    Names.push_back(GG.node(N).Name);
+  EXPECT_EQ(Names, (std::vector<std::string>{"TOP", "x", "x#1", "SHORT",
+                                             "leaf", "leaf#0", "LEAF"}));
+  expectCoresAgree(GG, Leaf, Top, L);
+
+  // Once MaxPathNodes admits the detour, the walk takes it first and
+  // spends the whole budget there before SHORT comes up.
+  PathSearchLimits Long = L;
+  Long.MaxPathNodes = 20;
+  PathSearchResult Spent = findPathsBetween(GG, Leaf, Top, Long);
+  EXPECT_TRUE(Spent.Truncated);
+  EXPECT_TRUE(Spent.Paths.empty());
+  expectCoresAgree(GG, Leaf, Top, Long);
+}
+
 TEST(DpCoreRaw, RawViewsMatchMaterializedResult) {
   PaperFragment F;
   const GrammarGraph &GG = *F.GG;
@@ -312,6 +272,90 @@ TEST(DpCoreRaw, RawViewsMatchMaterializedResult) {
       EXPECT_EQ(V.Nodes[K], Owned.Paths[I].Nodes[K]);
     EXPECT_EQ(V.ApiCount, Owned.Paths[I].ApiCount);
     EXPECT_EQ(V.ApiCount, countApisOnPath(GG, Owned.Paths[I].Nodes));
+  }
+}
+
+namespace {
+
+/// One fast-core search and the cost counters it added on its thread.
+struct SearchRun {
+  PathSearchResult R;
+  uint64_t InEdgeScans = 0;
+  uint64_t WordsTouched = 0;
+};
+
+SearchRun runSearch(const GrammarGraph &GG, GgNodeId Start,
+                    const std::vector<GgNodeId> &Targets,
+                    const PathSearchLimits &Limits) {
+  obs::queryCost() = obs::CostCounters{};
+  SearchRun Out;
+  Out.R = findPathsBetween(GG, Start, Targets, Limits);
+  Out.InEdgeScans = obs::queryCost().InEdgeScans;
+  Out.WordsTouched = obs::queryCost().BitsetWordsTouched;
+  return Out;
+}
+
+} // namespace
+
+TEST(DpCoreRaw, SparseResetLeavesNothingForTheNextSearch) {
+  // One thread's workspace serves searches over two graphs with varying
+  // targets and limits; each must see exactly what a fresh thread (a
+  // fresh workspace) sees.
+  setDpCoreLegacy(false);
+  PaperFragment F;
+  const GrammarGraph &P = *F.GG;
+  Grammar G = makeLayeredGrammar(6);
+  GrammarGraph Layered(G);
+  auto Api = [](const GrammarGraph &GG, const char *Name) {
+    return GG.apiOccurrences(Name).front();
+  };
+  PathSearchLimits Wide;
+  Wide.MaxPathNodes = 64;
+  Wide.MaxPaths = 1000;
+  Wide.MaxVisits = 100000;
+  PathSearchLimits Two = Wide;
+  Two.MaxPathNodes = 2;
+  PathSearchLimits FewVisits = Wide;
+  FewVisits.MaxVisits = 10;
+  PathSearchLimits FewPaths = Wide;
+  FewPaths.MaxPaths = 3;
+  struct Search {
+    const GrammarGraph *GG;
+    GgNodeId Start;
+    std::vector<GgNodeId> Targets;
+    PathSearchLimits Limits;
+  };
+  const std::vector<Search> Searches = {
+      {&P, Api(P, "STARTFROM"), {Api(P, "INSERT")}, {}},
+      {&Layered, Api(Layered, "LEAF"), {Api(Layered, "ROOT")}, FewVisits},
+      {&P, Api(P, "LIT"), {Api(P, "INSERT"), Api(P, "STRING")}, Two},
+      // The start lies outside the BFS ball (INSERT is above ALL).
+      {&P, Api(P, "INSERT"), {Api(P, "ALL")}, Wide},
+      {&Layered, Api(Layered, "LEAF"), {Api(Layered, "ROOT")}, FewPaths},
+      {&P, Api(P, "ALL"), {P.startNode()}, {}},
+      {&Layered, Api(Layered, "LEAF"), {Api(Layered, "ROOT")}, Wide},
+      // The start is itself a target.
+      {&P, Api(P, "INSERT"), {Api(P, "INSERT")}, Two},
+      {&P, Api(P, "STARTFROM"), {Api(P, "INSERT")}, {}},
+  };
+  for (size_t I = 0; I < Searches.size(); ++I) {
+    const Search &S = Searches[I];
+    SearchRun Here = runSearch(*S.GG, S.Start, S.Targets, S.Limits);
+    SearchRun Fresh;
+    std::thread([&] {
+      Fresh = runSearch(*S.GG, S.Start, S.Targets, S.Limits);
+    }).join();
+    EXPECT_EQ(Here.R.Truncated, Fresh.R.Truncated) << "search " << I;
+    EXPECT_EQ(Here.R.Visits, Fresh.R.Visits) << "search " << I;
+    EXPECT_EQ(Here.InEdgeScans, Fresh.InEdgeScans) << "search " << I;
+    EXPECT_EQ(Here.WordsTouched, Fresh.WordsTouched) << "search " << I;
+    ASSERT_EQ(Here.R.Paths.size(), Fresh.R.Paths.size()) << "search " << I;
+    for (size_t K = 0; K < Here.R.Paths.size(); ++K) {
+      EXPECT_EQ(Here.R.Paths[K].Nodes, Fresh.R.Paths[K].Nodes)
+          << "search " << I << " path " << K;
+      EXPECT_EQ(Here.R.Paths[K].ApiCount, Fresh.R.Paths[K].ApiCount)
+          << "search " << I << " path " << K;
+    }
   }
 }
 

@@ -98,16 +98,22 @@ TEST(GrammarGraph, ApiHeadedAlternativeOwnsArguments) {
 }
 
 TEST(GrammarGraph, Reachability) {
+  // Reachability is path existence: walking back up from a descendant
+  // finds a path to its ancestor.
   PaperFragment F;
   const GrammarGraph &GG = *F.GG;
   GgNodeId Insert = GG.apiOccurrences("INSERT").front();
   GgNodeId All = GG.apiOccurrences("ALL").front();
   GgNodeId Lit = GG.apiOccurrences("LIT").front();
-  EXPECT_TRUE(GG.reachable(Insert, All));
-  EXPECT_TRUE(GG.reachable(Insert, Lit));
-  EXPECT_FALSE(GG.reachable(All, Insert));
-  EXPECT_TRUE(GG.reachable(Insert, Insert)); // Reflexive.
-  EXPECT_TRUE(GG.descendantSet(GG.startNode())[All]);
+  auto Reaches = [&](GgNodeId Ancestor, GgNodeId Descendant) {
+    return !findPathsBetween(GG, Descendant, {Ancestor}).Paths.empty();
+  };
+  EXPECT_TRUE(Reaches(Insert, All));
+  EXPECT_TRUE(Reaches(Insert, Lit));
+  EXPECT_FALSE(Reaches(All, Insert));
+  // A node is no target of its own search (paths are non-trivial).
+  EXPECT_FALSE(Reaches(Insert, Insert));
+  EXPECT_FALSE(findPathsFromStart(GG, All).Paths.empty());
 }
 
 TEST(PathSearch, FindsPathsBetweenApis) {

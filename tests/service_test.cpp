@@ -13,6 +13,7 @@
 #include "obs/Trace.h"
 #include "service/SynthesisService.h"
 #include "support/FaultInjection.h"
+#include "synth/dggt/DggtSynthesizer.h"
 
 #include <gtest/gtest.h>
 
@@ -136,6 +137,26 @@ TEST_F(ServiceTest, DggtFaultDegradesToHisynWithFullTrail) {
   EXPECT_EQ(Rep.Attempts[1].St, AttemptStatus::Timeout);
   EXPECT_EQ(Rep.Attempts[2].Rung, ServiceRung::Hisyn);
   EXPECT_EQ(Rep.Attempts[2].St, AttemptStatus::Success);
+}
+
+TEST_F(ServiceTest, NoValidTreeEndsTheLadder) {
+  // A TextEditing near-miss: DGGT completes its search and finds no
+  // valid tree. Only a timeout degrades, so HISyn (which would answer
+  // it) never runs, and the service agrees with the direct pipeline.
+  const char *Query = "copy all lines in every snarfled equal to 'begin'";
+  PreparedQuery Q = textEditing().frontEnd().prepare(Query);
+  Budget B(2000);
+  SynthesisResult Direct = DggtSynthesizer().synthesize(Q, B);
+  EXPECT_EQ(Direct.St, SynthesisResult::Status::NoValidTree);
+
+  SynthesisService S(fastOptions());
+  S.addDomain(textEditing());
+  ServiceReport Rep = S.query("TextEditing", Query);
+  EXPECT_FALSE(Rep.ok()) << Rep.Result.Expression;
+  EXPECT_EQ(Rep.St, ServiceStatus::NoAnswer);
+  ASSERT_EQ(Rep.Attempts.size(), 1u);
+  EXPECT_EQ(Rep.Attempts[0].Rung, ServiceRung::DggtFull);
+  EXPECT_EQ(Rep.Attempts[0].St, AttemptStatus::NoValidTree);
 }
 
 TEST_F(ServiceTest, AllRungsFaultedReturnsStructuredErrorInBudget) {
