@@ -23,6 +23,11 @@ struct Golden {
   const char *Expression;
 };
 
+// Names each case by its query. Without this gtest prints the two
+// pointers, and the test names CTest derives from them change with every
+// build and every load address.
+void PrintTo(const Golden &G, std::ostream *OS) { *OS << G.Query; }
+
 const Domain &textEditing() {
   static std::unique_ptr<Domain> D = makeTextEditingDomain();
   return *D;
