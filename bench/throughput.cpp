@@ -32,14 +32,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-// --front-tier runs the chaos A/B instead: the same mixed workload
-// routed closed-loop through a FrontTierRouter over 3 in-process
-// LocalUpstream shards, once clean and once with the shard owning the
-// TextEditing key failing 100% of connects. Retries and outlier
-// ejection must hold goodput at >= 80% of the clean run while the
-// token-bucket retry budget bounds amplification; violating either
-// bound exits nonzero (the CI acceptance check).
-
 // --workload runs the accuracy-under-load experiment instead: a seeded
 // WorkloadGenerator expands both ground-truth query sets into
 // production-shaped traffic (thesaurus-synonym paraphrases, Zipf
@@ -58,31 +50,15 @@
 // in the output, same seed ⇒ byte-identical stream (the printed
 // stream_digest).
 
-// --dpcore runs the DP-core A/B instead: the heavy ASTMatcher query set
-// replayed closed-loop through the bare pipeline (caches off, so every
-// query pays the real path search), once with the legacy recursive
-// search and once with the speed-of-light iterative core, comparing
-// p50/p99 latency, path-search visit counts and per-query arena
-// high-water bytes, and cross-checking that every expression is
-// bit-identical. CI (the check-perf target) parses the JSON line and
-// holds p99 against the committed baseline.
-
 #include "BenchCommon.h"
 #include "eval/Workload.h"
 #include "grammar/PathCache.h"
-#include "grammar/PathSearch.h"
 #include "nlu/WordToApiMatcher.h"
-#include "obs/Cost.h"
-#include "obs/Export.h"
 #include "obs/Metrics.h"
 #include "obs/QueryLog.h"
-#include "obs/Trace.h"
-#include "router/Router.h"
 #include "service/AsyncSynthesisService.h"
 #include "support/Arena.h"
-#include "support/FaultInjection.h"
 #include "synth/Expression.h"
-#include "synth/dggt/DggtSynthesizer.h"
 
 #include <algorithm>
 #include <atomic>
@@ -93,7 +69,6 @@
 #include <future>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 using namespace dggt;
@@ -374,251 +349,6 @@ void runOverload(const bench::Domains &D, const std::vector<WorkItem> &Work,
   R.EffBatch = S.coalesceBatch();
 }
 
-/// One closed-loop run through the front tier: every query routed via
-/// the consistent-hash ring, failures retried per the router policy.
-struct FrontTierOutcome {
-  double WallSeconds = 0;
-  uint64_t Good = 0;   ///< RouterReport.ok(): a codelet-or-no-answer verdict.
-  uint64_t Failed = 0; ///< Everything else (transport, budget-denied, ...).
-  router::FrontTierRouter::Stats Stats;
-  unsigned Ejections = 0; ///< Lifetime ejections across the shard set.
-  std::string FailedShard;
-
-  // Observability assertions: the run executes with the wide-event query
-  // log on, head sampling at 1/1000 and the tail keep threshold at 50 ms,
-  // then audits the log and span ring it produced.
-  uint64_t Records = 0;      ///< Query-log records written by this run.
-  uint64_t RetriedShort = 0; ///< Retried records listing < 2 shard attempts.
-  uint64_t SlowUnkept = 0;   ///< Over-threshold records not trace-kept.
-  uint64_t KeptNoRouterSpan = 0; ///< Kept records with no router.route span.
-  uint64_t OkKeptNoAsyncSpan = 0; ///< Kept ok records missing async.task.
-  uint64_t KeptTraces = 0;        ///< Records with TraceKept, for context.
-
-  double goodputQps() const {
-    return WallSeconds > 0 ? static_cast<double>(Good) / WallSeconds : 0.0;
-  }
-};
-
-void runFrontTier(const bench::Domains &D, const std::vector<WorkItem> &Work,
-                  unsigned Shards, unsigned WorkersPerShard, unsigned Drivers,
-                  bool FailOwner, FrontTierOutcome &R) {
-  FaultInjector::instance().reset();
-  // With any point armed, every fault-point check in the synthesis hot
-  // loops counts hits under the injector's lock — a flat tax on both
-  // runs or neither, never just one. Arming a point nothing consults in
-  // the clean run keeps the A/B an apples-to-apples measure of routing
-  // policy rather than injector overhead.
-  FaultInjector::instance().armNth("bench.front_tier.noop", 1);
-
-  // Observability runs hot in both passes, production-shaped: head
-  // sampling keeps only 1 in 1000 trace trees, so every slow or failed
-  // query retained below must have been force-kept by the tail rules,
-  // and the query log must end with exactly one record per routed query.
-  obs::setMetricsEnabled(true);
-  auto Ring = std::make_shared<obs::SpanRingSink>(1 << 15);
-  obs::Tracer::instance().setSink(Ring);
-  obs::Tracer::setSampleEvery(1000);
-  obs::Tracer::setTailKeepMs(50);
-  obs::queryLog().resetForTest();
-  obs::queryLog().configureRing(Work.size() + 16);
-
-  // Extra shard handles: after the router destructs, draining these on
-  // the main thread joins each shard's worker pool, so the span ring is
-  // settled (a query's async.task span closes *after* its Done callback
-  // chain — the last worker can still be unwinding when the router's
-  // in-flight list empties).
-  std::vector<std::shared_ptr<router::Upstream>> ShardHandles;
-  {
-  router::FrontTierRouter Router; // Stock policy: what ships is measured.
-  for (unsigned I = 0; I < Shards; ++I) {
-    AsyncOptions AO;
-    AO.Workers = WorkersPerShard;
-    AO.QueueCap = 0; // The closed-loop drivers bound the queue.
-    auto Svc = std::make_unique<AsyncSynthesisService>(AO);
-    Svc->addDomain(*D.TextEditing);
-    Svc->addDomain(*D.AstMatcher);
-    auto Shard = std::make_shared<router::LocalUpstream>(
-        "shard-" + std::to_string(I), std::move(Svc));
-    ShardHandles.push_back(Shard);
-    Router.addShard(std::move(Shard));
-  }
-
-  if (FailOwner) {
-    // Fail the shard that owns the TextEditing key — the majority of the
-    // mixed workload, so the chaos run actually exercises the retry and
-    // ejection paths instead of a shard no query hashes to.
-    std::shared_ptr<router::Upstream> Owner =
-        Router.shards().pick("TextEditing");
-    R.FailedShard = Owner->name();
-    FaultInjector::instance().armAlways("router.connect." + R.FailedShard);
-  }
-
-  std::atomic<size_t> NextIdx{0};
-  std::atomic<uint64_t> Good{0}, Failed{0};
-  std::vector<std::thread> Threads;
-  WallTimer Total;
-  for (unsigned T = 0; T < Drivers; ++T)
-    Threads.emplace_back([&] {
-      while (true) {
-        size_t I = NextIdx.fetch_add(1, std::memory_order_relaxed);
-        if (I >= Work.size())
-          break;
-        router::UpstreamQuery Q;
-        Q.Domain = Work[I].Domain;
-        Q.Query = *Work[I].Query;
-        router::RouterReport Rep = Router.route(Q);
-        if (Rep.ok())
-          ++Good;
-        else
-          ++Failed;
-      }
-    });
-  for (std::thread &T : Threads)
-    T.join();
-  R.WallSeconds = Total.seconds();
-  R.Good = Good.load();
-  R.Failed = Failed.load();
-  R.Stats = Router.stats();
-  for (const router::ShardSet::ShardInfo &S : Router.shards().snapshot())
-    R.Ejections += S.Ejections;
-  } // ~FrontTierRouter drains in-flight calls: every record is written.
-  // Become the last owner of each shard (bounded wait: stray task
-  // closures on dying workers hold the other references), then release —
-  // ~LocalUpstream joins the shard's pool, the barrier for span flushes.
-  for (std::shared_ptr<router::Upstream> &U : ShardHandles) {
-    for (int Spin = 0; U.use_count() > 1 && Spin < 2000; ++Spin)
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    U.reset();
-  }
-  FaultInjector::instance().reset();
-
-  // Audit the run's observability output. Spans for one trace share one
-  // 128-bit id across tiers, so joining the query log against the span
-  // ring by trace id is exact.
-  R.Records = obs::queryLog().total();
-  std::unordered_map<std::string, unsigned> Tiers; // trace id -> tier bits
-  for (const obs::SpanRecord &S : Ring->snapshot()) {
-    char Hex[33];
-    std::snprintf(Hex, sizeof(Hex), "%016llx%016llx",
-                  static_cast<unsigned long long>(S.TraceHi),
-                  static_cast<unsigned long long>(S.TraceId));
-    unsigned &Bits = Tiers[Hex];
-    if (S.Name == "router.route")
-      Bits |= 1;
-    else if (S.Name == "async.task")
-      Bits |= 2;
-  }
-  const uint64_t TailMs = obs::Tracer::tailKeepMs();
-  for (const obs::QueryLogRecord &Rec : obs::queryLog().snapshot()) {
-    if (Rec.Retries > 0 && Rec.Shards.size() < 2)
-      ++R.RetriedShort;
-    if (TailMs > 0 && Rec.TotalMs >= static_cast<double>(TailMs) &&
-        !Rec.TraceKept)
-      ++R.SlowUnkept;
-    if (!Rec.TraceKept)
-      continue;
-    ++R.KeptTraces;
-    unsigned Bits = 0;
-    auto It = Tiers.find(Rec.TraceId);
-    if (It != Tiers.end())
-      Bits = It->second;
-    if (!(Bits & 1))
-      ++R.KeptNoRouterSpan;
-    // A query the service tier answered must carry the trace into the
-    // worker; transport-failed queries never reached a worker, so only
-    // ok outcomes are held to the async-tier bar.
-    if (Rec.Outcome == "ok" && !(Bits & 2))
-      ++R.OkKeptNoAsyncSpan;
-  }
-  obs::Tracer::instance().setSink(nullptr);
-}
-
-/// One closed-loop pass of the DP-core A/B: the heavy domain through the
-/// bare pipeline (no service, no caches), one core selected process-wide.
-struct DpCoreOutcome {
-  /// Raw per-query latencies. The A/B needs exact percentiles: the obs
-  /// histogram's bucket ladder tops out well below the heaviest
-  /// truncation-bound queries, so a bucketed p99 saturates identically
-  /// for both cores and hides the speedup.
-  std::vector<double> SamplesMs;
-  double TotalSeconds = 0;
-  uint64_t Searches = 0;         ///< Path searches run (counter delta).
-  uint64_t Visits = 0;           ///< DFS node visits (counter delta).
-  uint64_t ArenaHighWater = 0;   ///< Arena::processHighWater() after.
-  /// Summed pipeline stage latencies across every measured query, in
-  /// the fixed {parse, prune, word_to_api, edge_to_path} order — the
-  /// per-stage breakdown a regressed p99 gets attributed to.
-  double StageMsTotal[4] = {0, 0, 0, 0};
-  /// Summed per-query cost vectors (obs::queryCost(), the same numbers
-  /// the query log records), arena field carrying the per-query max.
-  obs::CostCounters Cost;
-  std::vector<std::string> Expressions; ///< Per query, for bit-identity.
-
-  double qps() const {
-    return TotalSeconds > 0
-               ? static_cast<double>(SamplesMs.size()) / TotalSeconds
-               : 0.0;
-  }
-  /// Exact (nearest-rank) percentile over the raw samples.
-  double percentileMs(double P) const {
-    if (SamplesMs.empty())
-      return 0.0;
-    std::vector<double> S = SamplesMs;
-    std::sort(S.begin(), S.end());
-    size_t Rank = static_cast<size_t>(P / 100.0 * S.size());
-    return S[std::min(Rank, S.size() - 1)];
-  }
-  double p50Ms() const { return percentileMs(50); }
-  double p99Ms() const { return percentileMs(99); }
-};
-
-void runDpCore(const bench::Domains &D, int Rounds, size_t Limit, bool Legacy,
-               DpCoreOutcome &R) {
-  const Domain &Dom = *D.AstMatcher;
-  const std::vector<QueryCase> &AM = Dom.queries();
-  size_t NumAM = std::min(Limit, AM.size());
-  const SynthesisFrontEnd &FE = Dom.frontEnd();
-  DggtSynthesizer Synth;
-
-  setDpCoreLegacy(Legacy);
-  // Warm round: parser tables, the thread search workspace, the arena
-  // chunk list — steady state is what the A/B compares.
-  for (size_t I = 0; I < NumAM; ++I) {
-    PreparedQuery Q = FE.prepare(AM[I].Query);
-    Budget B;
-    (void)Synth.synthesize(Q, B);
-  }
-
-  obs::Counter &Searches =
-      obs::registry().counter("dggt_pathsearch_searches_total");
-  obs::Counter &Visits =
-      obs::registry().counter("dggt_pathsearch_visits_total");
-  uint64_t Searches0 = Searches.value(), Visits0 = Visits.value();
-
-  R.Expressions.resize(NumAM);
-  WallTimer Total;
-  for (int Round = 0; Round < Rounds; ++Round) {
-    for (size_t I = 0; I < NumAM; ++I) {
-      WallTimer T;
-      PreparedQuery Q = FE.prepare(AM[I].Query);
-      Budget B;
-      SynthesisResult Res = Synth.synthesize(Q, B);
-      R.SamplesMs.push_back(T.seconds() * 1000.0);
-      for (size_t St = 0; St < 4; ++St)
-        R.StageMsTotal[St] += Q.StageMs[St];
-      obs::CostCounters C = obs::queryCost();
-      C.ArenaHighWaterBytes = queryArena().bytesUsed();
-      R.Cost.add(C);
-      R.Expressions[I] = std::move(Res.Expression);
-    }
-  }
-  R.TotalSeconds = Total.seconds();
-  R.Searches = Searches.value() - Searches0;
-  R.Visits = Visits.value() - Visits0;
-  R.ArenaHighWater = Arena::processHighWater();
-  setDpCoreLegacy(false);
-}
-
 /// Offered/correct pair for one slice of the workload replay.
 struct WorkloadTally {
   uint64_t Offered = 0;
@@ -732,8 +462,6 @@ int main(int argc, char **argv) {
   double Overload = 0; // 0 = the closed-loop serial/async comparison.
   uint64_t BudgetMs = 300;
   double GateOn = 0.8, GateOff = 0.6;
-  bool FrontTier = false;
-  bool DpCore = false;
   bool WorkloadMode = false;
   size_t WorkloadQueries = 100000;
   uint64_t WorkloadSeed = 0; // 0 = DGGT_WORKLOAD_SEED or the default.
@@ -753,14 +481,6 @@ int main(int argc, char **argv) {
     else if (Arg == "--load" && I + 1 < argc)
       // Offered rate as a multiple of the calibrated capacity.
       LoadMult = std::atof(argv[++I]);
-    else if (Arg == "--front-tier")
-      // Chaos A/B through the FrontTierRouter: clean vs one shard
-      // failing 100%, asserting the goodput and retry-budget bounds.
-      FrontTier = true;
-    else if (Arg == "--dpcore")
-      // DP-core A/B: legacy recursive search vs the iterative
-      // CSR+bitset core over the heavy domain, caches off.
-      DpCore = true;
     else if (Arg == "--workers" && I + 1 < argc)
       Workers = static_cast<unsigned>(std::atoi(argv[++I]));
     else if (Arg == "--rounds" && I + 1 < argc)
@@ -788,7 +508,6 @@ int main(int argc, char **argv) {
       std::fprintf(stderr,
                    "usage: %s [--json] [--workers N] [--rounds N] "
                    "[--limit QUERIES_PER_DOMAIN] [--http-port PORT] "
-                   "[--front-tier] [--dpcore] "
                    "[--workload [--queries N] [--seed N] [--load MULT] "
                    "[--budget-ms N]] "
                    "[--overload MULT [--budget-ms N] [--gate-on F] "
@@ -1000,225 +719,6 @@ int main(int argc, char **argv) {
                    "(%llu records, want %zu)\n",
                    static_cast<unsigned long long>(Records), Stream.size());
     return RecordsOk ? 0 : 1;
-  }
-
-  if (DpCore) {
-    // Counter deltas need the registry live in both passes; honor a
-    // DGGT_METRICS spec too so stage histograms are inspectable.
-    obs::applyEnvSpec();
-    obs::setMetricsEnabled(true);
-    std::fprintf(stderr,
-                 "[bench] dpcore: heavy domain x%d rounds, legacy "
-                 "recursive core first...\n",
-                 Rounds);
-    DpCoreOutcome Legacy;
-    runDpCore(D, Rounds, Limit, /*Legacy=*/true, Legacy);
-    std::fprintf(stderr, "[bench] dpcore: iterative CSR+bitset core...\n");
-    DpCoreOutcome Fast;
-    runDpCore(D, Rounds, Limit, /*Legacy=*/false, Fast);
-
-    size_t Mismatches = 0;
-    for (size_t I = 0; I < Legacy.Expressions.size(); ++I)
-      if (Legacy.Expressions[I] != Fast.Expressions[I])
-        ++Mismatches;
-    double SpeedupP50 =
-        Fast.p50Ms() > 0 ? Legacy.p50Ms() / Fast.p50Ms()
-                               : 0.0;
-    double SpeedupP99 =
-        Fast.p99Ms() > 0 ? Legacy.p99Ms() / Fast.p99Ms()
-                               : 0.0;
-
-    if (Json) {
-      auto PrintMode = [](const char *Name, const DpCoreOutcome &O) {
-        // Scalars first, nested objects last: the perf gate's regex
-        // extracts p99_ms with a [^}]* scan that must not cross into
-        // stage_ms_total/cost (cmake/CheckPerfOutput.cmake).
-        std::printf("\"%s\":{\"qps\":%.2f,\"p50_ms\":%.4f,\"p99_ms\":%.4f,"
-                    "\"searches\":%llu,\"visits\":%llu,"
-                    "\"arena_high_water_bytes\":%llu,"
-                    "\"stage_ms_total\":{\"parse\":%.4f,\"prune\":%.4f,"
-                    "\"word_to_api\":%.4f,\"edge_to_path\":%.4f},"
-                    "\"cost\":%s}",
-                    Name, O.qps(), O.p50Ms(), O.p99Ms(),
-                    static_cast<unsigned long long>(O.Searches),
-                    static_cast<unsigned long long>(O.Visits),
-                    static_cast<unsigned long long>(O.ArenaHighWater),
-                    O.StageMsTotal[0], O.StageMsTotal[1], O.StageMsTotal[2],
-                    O.StageMsTotal[3],
-                    obs::costCountersJson(O.Cost).c_str());
-      };
-      std::printf("{\"bench\":\"throughput_dpcore\",\"queries\":%zu,"
-                  "\"rounds\":%d,",
-                  Legacy.Expressions.size(), Rounds);
-      PrintMode("legacy", Legacy);
-      std::printf(",");
-      PrintMode("fast", Fast);
-      std::printf(",\"speedup_p50\":%.2f,\"speedup_p99\":%.2f,"
-                  "\"expression_mismatches\":%zu}\n",
-                  SpeedupP50, SpeedupP99, Mismatches);
-      return Mismatches == 0 ? 0 : 1;
-    }
-
-    bench::banner("DP core: legacy recursive search vs iterative "
-                  "CSR+bitset core",
-                  "heavy-domain p50/p99, caches off, bit-identical output");
-    auto PrintMode = [](const char *Name, const DpCoreOutcome &O) {
-      std::printf("%-7s %7.1f q/s   p50 %7.3f ms   p99 %7.3f ms   "
-                  "visits %llu   searches %llu\n",
-                  Name, O.qps(), O.p50Ms(), O.p99Ms(),
-                  static_cast<unsigned long long>(O.Visits),
-                  static_cast<unsigned long long>(O.Searches));
-    };
-    PrintMode("legacy", Legacy);
-    PrintMode("fast", Fast);
-    std::printf("speedup: p50 %.2fx   p99 %.2fx\n", SpeedupP50, SpeedupP99);
-    std::printf("fast stage totals: parse %.1f ms   prune %.1f ms   "
-                "word_to_api %.1f ms   edge_to_path %.1f ms\n",
-                Fast.StageMsTotal[0], Fast.StageMsTotal[1],
-                Fast.StageMsTotal[2], Fast.StageMsTotal[3]);
-    std::printf("fast cost: %llu in-edge scans   %llu bitset words   "
-                "%llu conflict checks   %llu fusion ops\n",
-                static_cast<unsigned long long>(Fast.Cost.InEdgeScans),
-                static_cast<unsigned long long>(Fast.Cost.BitsetWordsTouched),
-                static_cast<unsigned long long>(Fast.Cost.ConflictChecks),
-                static_cast<unsigned long long>(Fast.Cost.CgtFusionOps));
-    std::printf("arena high-water: %llu bytes per-thread scratch peak\n",
-                static_cast<unsigned long long>(Fast.ArenaHighWater));
-    std::printf("expression mismatches (legacy vs fast): %zu\n", Mismatches);
-    return Mismatches == 0 ? 0 : 1;
-  }
-
-  if (FrontTier) {
-    const unsigned Shards = 3, Drivers = 4;
-    std::fprintf(stderr,
-                 "[bench] front-tier: %zu queries over %u shards, clean "
-                 "run first...\n",
-                 Work.size(), Shards);
-    FrontTierOutcome Clean;
-    runFrontTier(D, Work, Shards, Workers, Drivers, /*FailOwner=*/false,
-                 Clean);
-    std::fprintf(stderr,
-                 "[bench] front-tier: chaos run, TextEditing owner failing "
-                 "100%% of connects...\n");
-    FrontTierOutcome Chaos;
-    runFrontTier(D, Work, Shards, Workers, Drivers, /*FailOwner=*/true,
-                 Chaos);
-
-    double GoodputRatio = Clean.goodputQps() > 0
-                              ? Chaos.goodputQps() / Clean.goodputQps()
-                              : 0.0;
-    // The amplification bound: a retry (or hedge) spends a token, and
-    // tokens arrive at Fraction per request on top of the initial Burst.
-    router::RouterOptions Stock;
-    double RetryCap =
-        Stock.RetryBudgetFraction * static_cast<double>(Chaos.Stats.Requests) +
-        Stock.RetryBudgetBurst;
-    bool GoodputOk = GoodputRatio >= 0.8;
-    bool RetriesOk = static_cast<double>(Chaos.Stats.Retries) <= RetryCap;
-    // Sanity: the chaos run must actually have exercised the machinery.
-    bool ChaosReal = Chaos.Stats.Retries > 0 && Chaos.Ejections > 0;
-    // Observability acceptance: exactly one wide-event record per routed
-    // query in both runs, every retried chaos record lists its full
-    // shard attempt trail, and under 1/1000 head sampling the tail rules
-    // kept 100% of slow queries with their cross-tier spans intact.
-    bool RecordsOk = Clean.Records == Work.size() &&
-                     Chaos.Records == Work.size();
-    bool TrailOk = Chaos.RetriedShort == 0;
-    bool TraceOk = Clean.SlowUnkept + Chaos.SlowUnkept == 0 &&
-                   Clean.KeptNoRouterSpan + Chaos.KeptNoRouterSpan == 0 &&
-                   Clean.OkKeptNoAsyncSpan + Chaos.OkKeptNoAsyncSpan == 0;
-
-    if (Json) {
-      auto PrintMode = [](const char *Name, const FrontTierOutcome &O) {
-        std::printf("\"%s\":{\"goodput_qps\":%.2f,\"wall_s\":%.3f,"
-                    "\"ok\":%llu,\"failed\":%llu,\"retries\":%llu,"
-                    "\"budget_exhausted\":%llu,\"ejections\":%u,"
-                    "\"records\":%llu,\"kept_traces\":%llu}",
-                    Name, O.goodputQps(), O.WallSeconds,
-                    static_cast<unsigned long long>(O.Good),
-                    static_cast<unsigned long long>(O.Failed),
-                    static_cast<unsigned long long>(O.Stats.Retries),
-                    static_cast<unsigned long long>(
-                        O.Stats.RetryBudgetExhausted),
-                    O.Ejections,
-                    static_cast<unsigned long long>(O.Records),
-                    static_cast<unsigned long long>(O.KeptTraces));
-      };
-      std::printf("{\"bench\":\"throughput_front_tier\",\"queries\":%zu,"
-                  "\"shards\":%u,\"failed_shard\":\"%s\",",
-                  Work.size(), Shards, Chaos.FailedShard.c_str());
-      PrintMode("clean", Clean);
-      std::printf(",");
-      PrintMode("chaos", Chaos);
-      std::printf(",\"goodput_ratio\":%.3f,\"retry_cap\":%.1f,"
-                  "\"goodput_ok\":%s,\"retries_ok\":%s,"
-                  "\"records_ok\":%s,\"trail_ok\":%s,\"trace_ok\":%s}\n",
-                  GoodputRatio, RetryCap, GoodputOk ? "true" : "false",
-                  RetriesOk ? "true" : "false", RecordsOk ? "true" : "false",
-                  TrailOk ? "true" : "false", TraceOk ? "true" : "false");
-    } else {
-      bench::banner("Front-tier chaos A/B: clean vs one shard failing 100%",
-                    "outlier ejection + retry budget hold goodput");
-      auto PrintMode = [](const char *Name, const FrontTierOutcome &O) {
-        std::printf("%-6s goodput %7.1f q/s   ok %5llu   failed %4llu   "
-                    "retries %4llu   budget-denied %3llu   ejections %u\n",
-                    Name, O.goodputQps(),
-                    static_cast<unsigned long long>(O.Good),
-                    static_cast<unsigned long long>(O.Failed),
-                    static_cast<unsigned long long>(O.Stats.Retries),
-                    static_cast<unsigned long long>(
-                        O.Stats.RetryBudgetExhausted),
-                    O.Ejections);
-      };
-      PrintMode("clean", Clean);
-      PrintMode("chaos", Chaos);
-      std::printf("failed shard: %s\n", Chaos.FailedShard.c_str());
-      std::printf("goodput ratio (chaos / clean): %.2f (bound: >= 0.80)\n",
-                  GoodputRatio);
-      std::printf("chaos retries: %llu (budget cap: %.1f)\n",
-                  static_cast<unsigned long long>(Chaos.Stats.Retries),
-                  RetryCap);
-      std::printf("query log: clean %llu chaos %llu records (%zu queries "
-                  "each)   kept traces: clean %llu chaos %llu\n",
-                  static_cast<unsigned long long>(Clean.Records),
-                  static_cast<unsigned long long>(Chaos.Records), Work.size(),
-                  static_cast<unsigned long long>(Clean.KeptTraces),
-                  static_cast<unsigned long long>(Chaos.KeptTraces));
-    }
-    if (!GoodputOk)
-      std::fprintf(stderr, "[bench] FAIL: chaos goodput below 80%% of clean\n");
-    if (!RetriesOk)
-      std::fprintf(stderr, "[bench] FAIL: retries exceeded the budget cap\n");
-    if (!ChaosReal)
-      std::fprintf(stderr,
-                   "[bench] FAIL: chaos run saw no retries or no ejection\n");
-    if (!RecordsOk)
-      std::fprintf(stderr,
-                   "[bench] FAIL: query log != one record per query "
-                   "(clean %llu chaos %llu, want %zu)\n",
-                   static_cast<unsigned long long>(Clean.Records),
-                   static_cast<unsigned long long>(Chaos.Records),
-                   Work.size());
-    if (!TrailOk)
-      std::fprintf(stderr,
-                   "[bench] FAIL: %llu retried chaos records list < 2 "
-                   "shard attempts\n",
-                   static_cast<unsigned long long>(Chaos.RetriedShort));
-    if (!TraceOk)
-      std::fprintf(stderr,
-                   "[bench] FAIL: tail sampling leaked slow/kept traces "
-                   "(slow-unkept %llu, no-router-span %llu, "
-                   "ok-no-async-span %llu)\n",
-                   static_cast<unsigned long long>(Clean.SlowUnkept +
-                                                   Chaos.SlowUnkept),
-                   static_cast<unsigned long long>(Clean.KeptNoRouterSpan +
-                                                   Chaos.KeptNoRouterSpan),
-                   static_cast<unsigned long long>(Clean.OkKeptNoAsyncSpan +
-                                                   Chaos.OkKeptNoAsyncSpan));
-    return GoodputOk && RetriesOk && ChaosReal && RecordsOk && TrailOk &&
-                   TraceOk
-               ? 0
-               : 1;
   }
 
   if (Overload > 0) {

@@ -5,7 +5,7 @@
 # Starts the data plane with the profiler armed from the environment
 # (`prof:99` — the production spec path, not the HTTP control path,
 # which the http_endpoint tests already cover), drives a run of
-# distinct queries through the front tier so the DP core burns real
+# distinct queries through POST /v1/synthesize so the DP core burns real
 # CPU (repeat queries hit the shared caches and cost nothing), and
 # asserts:
 #

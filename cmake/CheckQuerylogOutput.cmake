@@ -4,18 +4,18 @@
 #
 # Starts the data plane under a production-shaped observability spec —
 # JSONL query log, span ring, 1-in-1000000 head sampling with a 50 ms
-# tail threshold — and with --fail-primary chaos, POSTs a run of
-# queries, and asserts:
+# tail threshold — and with DGGT_FAULTS=service.transient=every:2, so
+# every other ladder attempt fails transiently and is retried, POSTs a
+# run of queries, and asserts:
 #
 #   * the JSONL sink holds exactly one record per query, every one ok,
-#     and every retried record lists all shard attempts (the failing
-#     owner and the neighbour that answered);
+#     and at least one record counts a retry;
 #   * /debug/querylog serves the same records over HTTP;
 #   * /debug/query/<trace-id> answers 200 for a logged trace id and
 #     echoes its record;
-#   * /metrics counts the records and carries a trace-id exemplar on
-#     the router latency histogram, so a scrape can jump from a bad
-#     bucket to a concrete query.
+#   * /metrics counts the records and the retries, and carries a
+#     trace-id exemplar on the service latency histogram, so a scrape
+#     can jump from a bad bucket to a concrete query.
 #
 # Used by the `check-querylog` target; fails the build on any missing
 # or malformed content.
@@ -36,10 +36,11 @@ set(_pidfile "${WORKDIR}/querylog-check.pid")
 file(REMOVE "${_jsonl}" "${_log}" "${_pidfile}")
 
 #-----------------------------------------------------------------------
-# Start the server with the observability spec and a failing primary.
+# Start the server with the observability spec and a periodic transient
+# fault.
 #-----------------------------------------------------------------------
 execute_process(
-  COMMAND ${SH} -c "DGGT_METRICS='qlog:${_jsonl},trace:ring:8192,sample:1000000,tail:50' '${EXAMPLE}' --serve 60 --fail-primary --eject-after 3 > '${_log}' 2>&1 & echo $! > '${_pidfile}'"
+  COMMAND ${SH} -c "DGGT_METRICS='qlog:${_jsonl},trace:ring:8192,sample:1000000,tail:50' DGGT_FAULTS='service.transient=every:2' '${EXAMPLE}' --serve 60 > '${_log}' 2>&1 & echo $! > '${_pidfile}'"
   RESULT_VARIABLE _rc)
 if(NOT _rc EQUAL 0)
   message(FATAL_ERROR "failed to start '${EXAMPLE}'")
@@ -69,8 +70,8 @@ if(_port STREQUAL "")
 endif()
 
 #-----------------------------------------------------------------------
-# Five queries: the first ones retry off the failing owner, the ejector
-# takes it out, the rest route direct. Every one must still answer ok.
+# Five queries: every other ladder attempt fails transiently, so most
+# queries retry their rung once. Every one must still answer ok.
 #-----------------------------------------------------------------------
 foreach(_i RANGE 1 5)
   execute_process(
@@ -140,8 +141,8 @@ foreach(needle "\"trace_id\":\"${_first}\"" "\"record\":{" "\"spans\":[")
 endforeach()
 
 #-----------------------------------------------------------------------
-# /metrics: record counter plus a trace-id exemplar on the router
-# latency histogram.
+# /metrics: record and retry counters plus a trace-id exemplar on the
+# service latency histogram.
 #-----------------------------------------------------------------------
 execute_process(
   COMMAND ${CURL} -fsS -o "${WORKDIR}/querylog-metrics.prom"
@@ -155,16 +156,16 @@ file(READ "${WORKDIR}/querylog-metrics.prom" _prom)
 if(NOT _prom MATCHES "dggt_querylog_records_total 5")
   message(FATAL_ERROR "record counter wrong on /metrics\n---\n${_prom}")
 endif()
-if(NOT _prom MATCHES "dggt_router_retries_total [1-9]")
-  message(FATAL_ERROR "no retries recorded under --fail-primary\n---\n${_prom}")
+if(NOT _prom MATCHES "dggt_service_retries_total\\{[^}]*\\} [1-9]")
+  message(FATAL_ERROR "no retries recorded under service.transient\n---\n${_prom}")
 endif()
-if(NOT _prom MATCHES "dggt_router_latency_ms_bucket[^\n]* # \\{trace_id=\"[0-9a-f]+\"\\}")
+if(NOT _prom MATCHES "dggt_service_query_latency_ms_bucket[^\n]* # \\{trace_id=\"[0-9a-f]+\"\\}")
   message(FATAL_ERROR "no trace-id exemplar on the latency histogram\n---\n${_prom}")
 endif()
 
 #-----------------------------------------------------------------------
-# JSONL sink: exactly one line per query, every one ok, and every
-# retried record lists at least two shard attempts.
+# JSONL sink: exactly one line per query, every one ok, and at least
+# one retried record whose attempts outnumber its retries.
 #-----------------------------------------------------------------------
 if(NOT EXISTS "${_jsonl}")
   message(FATAL_ERROR "qlog JSONL sink '${_jsonl}' was never written")
@@ -182,18 +183,18 @@ foreach(_line IN LISTS _lines)
   if(NOT _line MATCHES "\"outcome\":\"ok\"")
     message(FATAL_ERROR "JSONL record not ok: ${_line}")
   endif()
-  if(_line MATCHES "\"retries\":[1-9]")
+  if(_line MATCHES "\"attempts\":([0-9]+),\"retries\":([1-9][0-9]*)")
+    set(_attempts "${CMAKE_MATCH_1}")
+    set(_retries "${CMAKE_MATCH_2}")
     math(EXPR _retried "${_retried} + 1")
-    string(REGEX MATCHALL "\"shard\":\"" _attempts "${_line}")
-    list(LENGTH _attempts _nattempts)
-    if(_nattempts LESS 2)
-      message(FATAL_ERROR "retried record lists ${_nattempts} shard attempt(s): ${_line}")
+    if(NOT _attempts GREATER _retries)
+      message(FATAL_ERROR "retried record has no more attempts than retries: ${_line}")
     endif()
   endif()
 endforeach()
 if(_retried EQUAL 0)
-  message(FATAL_ERROR "no retried record in ${_jsonl} despite --fail-primary")
+  message(FATAL_ERROR "no retried record in ${_jsonl} despite service.transient")
 endif()
 
-message(STATUS "query-log output OK: 5/5 records (${_retried} retried, full "
-               "shard trails), by-id lookup and latency exemplars verified")
+message(STATUS "query-log output OK: 5/5 records (${_retried} retried), "
+               "by-id lookup and latency exemplars verified")

@@ -1,164 +1,79 @@
-//===- examples/dataplane_server.cpp - Front-tier router walkthrough ------===//
+//===- examples/dataplane_server.cpp - Query data-plane walkthrough -------===//
 //
-// Stands up the full query data plane: N in-process synthesis replicas
-// (LocalUpstream shards) behind a FrontTierRouter, fronted by one
-// HttpEndpoint serving POST /v1/synthesize. A query POSTed to the front
-// port is hashed to its owning shard, retried on a different shard when
-// the owner fails, and answered with the service report plus the
-// router's attempt trail:
+// Stands up the query data plane: one AsyncSynthesisService over both
+// paper domains whose service owns the HTTP endpoint, so POST
+// /v1/synthesize goes HttpEndpoint → AsyncSynthesisService →
+// SynthesisService and answers with the service report:
 //
 //   ./dataplane_server --serve 30
 //   curl -d '{"domain":"TextEditing","query":"sort all lines"}'
 //        http://127.0.0.1:<announced port>/v1/synthesize
 //
 // Flags:
-//   --shards N        replica count (default 3)
-//   --port P          front port (default 0 = ephemeral, announced)
-//   --serve SECONDS   how long to serve before exiting (default 30)
-//   --fail-primary    arm router.connect.<owner of TextEditing>: every
-//                     connect to that shard fails, so the first queries
-//                     retry onto a neighbour and the ejector takes the
-//                     shard out of the ring after --eject-after errors
-//   --eject-after K   consecutive errors before ejection (default 3)
+//   --port P          endpoint port (default 0 = ephemeral, announced)
+//   --serve SECONDS   how long to serve before draining and exiting
+//                     (default 30)
 //
-// The `check-dataplane` build target drives this binary end to end:
-// clean answers first, then --fail-primary to assert ejection and
-// continued answers through the surviving shards.
+// DGGT_METRICS (qlog:, trace:, prof:, ...) configures observability as
+// in every service process, and DGGT_FAULTS arms fault points as in the
+// eval harness (e.g. `service.transient=every:2` retries every other
+// ladder attempt). The `check-querylog` and `check-profile` build
+// targets drive this binary end to end.
 //
 //===----------------------------------------------------------------------===//
 
-#include "obs/HttpEndpoint.h"
-#include "obs/Metrics.h"
-#include "router/Router.h"
-#include "support/FaultInjection.h"
+#include "eval/Harness.h"
+#include "service/AsyncSynthesisService.h"
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
-#include <vector>
 
 using namespace dggt;
 
 int main(int argc, char **argv) {
-  unsigned Shards = 3;
   long Port = 0;
   int Seconds = 30;
-  bool FailPrimary = false;
-  unsigned EjectAfter = 3;
   for (int I = 1; I < argc; ++I) {
     std::string_view Arg = argv[I];
-    if (Arg == "--shards" && I + 1 < argc)
-      Shards = static_cast<unsigned>(std::atoi(argv[++I]));
-    else if (Arg == "--port" && I + 1 < argc)
+    if (Arg == "--port" && I + 1 < argc)
       Port = std::atol(argv[++I]);
     else if (Arg == "--serve" && I + 1 < argc)
       Seconds = std::atoi(argv[++I]);
-    else if (Arg == "--fail-primary")
-      FailPrimary = true;
-    else if (Arg == "--eject-after" && I + 1 < argc)
-      EjectAfter = static_cast<unsigned>(std::atoi(argv[++I]));
     else {
-      std::fprintf(stderr,
-                   "usage: %s [--shards N] [--port P] [--serve SECONDS] "
-                   "[--fail-primary] [--eject-after K]\n",
+      std::fprintf(stderr, "usage: %s [--port P] [--serve SECONDS]\n",
                    argv[0]);
       return 2;
     }
   }
-  if (Shards == 0 || Port > 65535) {
-    std::fprintf(stderr, "--shards must be >= 1, --port 0..65535\n");
+  if (Port < 0 || Port > 65535) {
+    std::fprintf(stderr, "--port must be 0..65535\n");
     return 2;
   }
 
-  // The router counters (requests, retries, ejections) feed the front
-  // endpoint's /metrics scrape.
-  obs::setMetricsEnabled(true);
-
+  applyHarnessFaultSpec();
   std::unique_ptr<Domain> TextEditing = makeTextEditingDomain();
   std::unique_ptr<Domain> AstMatcher = makeAstMatcherDomain();
 
-  // Router first, endpoint last: the endpoint destructs first on exit,
-  // so no provider call can reach a dying router.
-  router::RouterOptions RO;
-  RO.Shards.EjectAfterConsecutiveErrors = EjectAfter;
-  RO.Shards.BaseEjectionMs = 2000;
-  router::FrontTierRouter Router(RO);
-
-  for (unsigned I = 0; I < Shards; ++I) {
-    AsyncOptions AO;
-    AO.Workers = 2;
-    AO.QueueCap = 64;
-    // HttpPort stays unset: these replicas are router-fed; only the
-    // front tier owns a socket.
-    auto Svc = std::make_unique<AsyncSynthesisService>(AO);
-    Svc->addDomain(*TextEditing);
-    Svc->addDomain(*AstMatcher);
-    Router.addShard(std::make_shared<router::LocalUpstream>(
-        "shard-" + std::to_string(I), std::move(Svc)));
-  }
-
-  if (FailPrimary) {
-    // The ring owner of the TextEditing key is the shard the check
-    // queries would land on; failing exactly that one forces the
-    // retry-and-eject path instead of a lucky miss.
-    std::shared_ptr<router::Upstream> Owner = Router.shards().pick("TextEditing");
-    if (!Owner) {
-      std::fprintf(stderr, "no shard owns TextEditing?\n");
-      return 1;
-    }
-    FaultInjector::instance().armAlways("router.connect." + Owner->name());
-    std::printf("dataplane-server: failing primary %s\n",
-                Owner->name().c_str());
-  }
-
-  obs::HttpEndpoint::Options EO;
-  EO.Port = static_cast<uint16_t>(Port);
-  EO.Announce = true;
-  obs::HttpEndpoint Front(EO);
-  Front.setSynthesizeProvider(
-      [&Router](const obs::SynthesizeRequest &Req,
-                obs::HttpEndpoint::SynthesizeReply Reply) {
-        router::UpstreamQuery Q;
-        Q.Domain = Req.Domain;
-        Q.Query = Req.Query;
-        Q.BudgetMs = Req.BudgetMs;
-        Q.Ctx = Req.Ctx;
-        Router.routeAsync(
-            std::move(Q), [Reply = std::move(Reply),
-                           Domain = Req.Domain](const router::RouterReport &R) {
-              obs::SynthesizeResponse Resp;
-              Resp.Code = router::httpStatusFor(R);
-              if (Resp.Code == 429 || Resp.Code == 503)
-                Resp.RetryAfterSeconds = 1;
-              Resp.Body = router::routerReportJson(R, Domain);
-              Reply(std::move(Resp));
-            });
-      });
-  Front.setStatusProvider([&Router] { return Router.statusJson(); });
-  Front.setHealthProvider([&Router] {
-    obs::HealthStatus St;
-    router::ShardSet &Set = Router.shards();
-    size_t Ejected = Set.ejectedCount();
-    St.Healthy = Ejected < Set.size();
-    St.Ready = St.Healthy;
-    if (Ejected > 0)
-      St.Detail = std::to_string(Ejected) + " shard(s) ejected";
-    return St;
-  });
-
-  std::string Error;
-  if (!Front.start(Error)) {
-    std::fprintf(stderr, "front endpoint failed to start: %s\n",
-                 Error.c_str());
+  // The service owns the endpoint, and the async layer registers itself
+  // as its POST /v1/synthesize, /statusz and health provider.
+  AsyncOptions AO;
+  AO.Workers = 2;
+  AO.QueueCap = 64;
+  AO.Service.HttpPort = static_cast<uint16_t>(Port);
+  AsyncSynthesisService Service(AO);
+  Service.addDomain(*TextEditing);
+  Service.addDomain(*AstMatcher);
+  if (!Service.service().endpoint()) {
+    std::fprintf(stderr, "endpoint failed to start on port %ld\n", Port);
     return 1;
   }
-  std::fprintf(stderr, "dataplane-server: %u shards, serving %d s\n", Shards,
-               Seconds);
+
+  std::fprintf(stderr, "dataplane-server: serving %d s\n", Seconds);
   std::this_thread::sleep_for(std::chrono::seconds(Seconds));
-  Front.stop();
+  Service.drain();
   return 0;
 }

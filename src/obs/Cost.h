@@ -52,24 +52,6 @@ struct CostCounters {
   uint64_t ConflictChecks = 0;     ///< Pairwise or-edge conflict tests.
   uint64_t CgtFusionOps = 0;       ///< Edge fusion attempts into prefix trees.
   uint64_t ArenaHighWaterBytes = 0; ///< queryArena() bytes at query end.
-
-  /// Folds another vector in (the router tier copies, never folds; this
-  /// exists for bench aggregation).
-  void add(const CostCounters &O) {
-    Populated = Populated || O.Populated;
-    PathSearches += O.PathSearches;
-    PathCacheHits += O.PathCacheHits;
-    NodeVisits += O.NodeVisits;
-    InEdgeScans += O.InEdgeScans;
-    BitsetWordsTouched += O.BitsetWordsTouched;
-    MergeCandidates += O.MergeCandidates;
-    MergeSurvivors += O.MergeSurvivors;
-    ConflictChecks += O.ConflictChecks;
-    CgtFusionOps += O.CgtFusionOps;
-    ArenaHighWaterBytes =
-        ArenaHighWaterBytes > O.ArenaHighWaterBytes ? ArenaHighWaterBytes
-                                                    : O.ArenaHighWaterBytes;
-  }
 };
 
 /// The calling thread's in-flight query cost vector. Reset by
@@ -78,8 +60,8 @@ struct CostCounters {
 /// query finishes on the same thread.
 CostCounters &queryCost();
 
-/// Serializes \p C as one JSON object (used by the query log and the
-/// throughput bench; key names are the wire schema of DESIGN.md §16).
+/// Serializes \p C as one JSON object (used by the query log; key
+/// names are the wire schema of DESIGN.md §16).
 std::string costCountersJson(const CostCounters &C);
 
 } // namespace dggt::obs

@@ -1064,8 +1064,8 @@ HttpEndpoint::ReqAction HttpEndpoint::processBody(Conn &C, std::string &Resp) {
 
   // Mint the query's trace context — adopting an inbound W3C
   // traceparent when the client sent one — and pre-allocate the
-  // request's root span. Everything downstream (router attempt, queue
-  // task, pipeline stages) parents under that root; the span itself is
+  // request's root span. Everything downstream (queue task, ladder,
+  // pipeline stages) parents under that root; the span itself is
   // emitted by the reply callback once the outcome is known, before the
   // owning tier settles the trace's keep/drop decision.
   QueryContext Ctx;

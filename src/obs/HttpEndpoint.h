@@ -97,8 +97,8 @@ struct SynthesizeRequest {
   uint64_t BudgetMs = 0; ///< 0 = the domain's configured budget.
   /// Per-query trace context, minted by the endpoint (honoring an
   /// inbound W3C `traceparent` header) with ParentSpan set to the
-  /// request's root span. Providers thread it through the router/async
-  /// tiers so every span of the query shares one trace id.
+  /// request's root span. Providers thread it through the async service
+  /// and its workers so every span of the query shares one trace id.
   QueryContext Ctx;
 };
 

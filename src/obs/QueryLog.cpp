@@ -104,23 +104,7 @@ std::string dggt::obs::queryLogRecordJson(const QueryLogRecord &R) {
   Out += std::to_string(R.Attempts);
   Out += ",\"retries\":";
   Out += std::to_string(R.Retries);
-  Out += ",\"hedged\":";
-  Out += R.Hedged ? "true" : "false";
-  Out += ",\"hedge_won\":";
-  Out += R.HedgeWon ? "true" : "false";
-  Out += ",\"shards\":[";
-  for (size_t I = 0; I < R.Shards.size(); ++I) {
-    if (I)
-      Out += ',';
-    Out += "{\"shard\":\"";
-    Out += escapeJson(R.Shards[I].Shard);
-    Out += "\",\"outcome\":\"";
-    Out += escapeJson(R.Shards[I].Outcome);
-    Out += "\",\"hedge\":";
-    Out += R.Shards[I].Hedge ? "true" : "false";
-    Out += '}';
-  }
-  Out += "],\"queue_wait_ms\":";
+  Out += ",\"queue_wait_ms\":";
   appendNumber(Out, R.QueueWaitMs);
   Out += ",\"stage_ms\":{";
   for (size_t I = 0; I < 4; ++I) {

@@ -5,17 +5,18 @@
 /// query, Envoy-access-log style. Metrics answer "how is the fleet";
 /// the query log answers "why was *this* query slow" — every record
 /// carries the full story of one query (domain, outcome, rung reached,
-/// per-shard attempt outcomes, gate decision, queue-wait / stage / total
+/// ladder attempts and retries, gate decision, queue-wait / stage / total
 /// latencies, cache hits, budget, truncated query text, trace id) so a
 /// single line is enough for forensics without re-running anything.
 ///
-/// Ownership of the one record is explicit: the component that *mints or
-/// first claims* a query's QueryContext (HttpEndpoint → Router, or
-/// AsyncSynthesisService for direct submits) emits the record; claimed
-/// contexts travel with `Recorded = true` so downstream layers never
-/// double-log. Records land in a fixed-capacity in-memory ring (served
-/// at /debug/querylog) and optionally in a JSONL file configured by the
-/// `qlog:PATH` entry of DGGT_METRICS.
+/// Ownership of the one record is explicit: the component that *first
+/// claims* a query's QueryContext emits the record. In the data plane
+/// (HttpEndpoint → AsyncSynthesisService → SynthesisService) that is
+/// AsyncSynthesisService::submit, for endpoint-minted and direct submits
+/// alike; claimed contexts travel with `Recorded = true` so downstream
+/// layers never double-log. Records land in a fixed-capacity in-memory
+/// ring (served at /debug/querylog) and optionally in a JSONL file
+/// configured by the `qlog:PATH` entry of DGGT_METRICS.
 ///
 /// User query text is hostile input: sanitizeQueryText() truncates it to
 /// a configurable byte cap on a UTF-8 boundary (with a `…` marker) and
@@ -29,6 +30,7 @@
 
 #include "obs/Cost.h"
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -39,12 +41,16 @@
 
 namespace dggt::obs {
 
-/// One upstream attempt of a routed query (initial try, retry or hedge).
-struct QueryShardAttempt {
-  std::string Shard;   ///< Shard name, e.g. "shard-0".
-  std::string Outcome; ///< Transport or service status name.
-  bool Hedge = false;  ///< True for a hedge probe (vs. first try/retry).
-};
+/// Names of the pipeline stages whose latencies a query reports, in
+/// order.
+inline constexpr const char *QueryStageNames[4] = {"parse", "prune",
+                                                  "word_to_api",
+                                                  "edge_to_path"};
+
+/// Per-stage wall latency in ms, indexed like QueryStageNames; 0 for
+/// stages that did not run. The one type every layer (pipeline, service
+/// report, query log) carries the breakdown in.
+using StageLatencyMs = std::array<double, 4>;
 
 /// The wide event: one per completed query. Field-by-field reference in
 /// DESIGN.md §14.
@@ -52,18 +58,13 @@ struct QueryLogRecord {
   std::string TraceId; ///< 32-hex-digit W3C trace id.
   std::string Domain;
   std::string Query;   ///< Pre-sanitized (sanitizeQueryText).
-  std::string Outcome; ///< Service status name or transport failure.
+  std::string Outcome; ///< Service status name.
   std::string Rung;    ///< Answering rung name, or "" if none reached.
   std::string Gate;    ///< Admission decision: admitted/shed/gate/drain/...
-  uint32_t Attempts = 0;
-  uint32_t Retries = 0;
-  bool Hedged = false;
-  bool HedgeWon = false;
-  std::vector<QueryShardAttempt> Shards;
+  uint32_t Attempts = 0; ///< Ladder rung attempts (RungAttempt count).
+  uint32_t Retries = 0;  ///< Attempts that retried a rung (Try > 0).
   double QueueWaitMs = 0.0;
-  /// Pipeline stage latencies, in the fixed stage order
-  /// {parse, prune, word_to_api, edge_to_path}; 0 for stages not run.
-  double StageMs[4] = {0.0, 0.0, 0.0, 0.0};
+  StageLatencyMs StageMs{}; ///< Per-stage latency breakdown.
   double TotalMs = 0.0;
   bool PathCacheHit = false;
   bool WordCacheHit = false;
@@ -76,11 +77,6 @@ struct QueryLogRecord {
   /// Unix timestamp of record emission; stamped by QueryLog::record().
   double WallSeconds = 0.0;
 };
-
-/// Names for the StageMs slots, in order.
-inline constexpr const char *QueryStageNames[4] = {"parse", "prune",
-                                                  "word_to_api",
-                                                  "edge_to_path"};
 
 /// Serializes \p R as a single-line JSON object (the /debug/querylog and
 /// qlog: JSONL shape).

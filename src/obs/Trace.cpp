@@ -132,8 +132,8 @@ void TraceBuffer::add(const SpanRecord &Span) {
       Tracer::DroppedSpans.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    // Late span (a hedge loser unwinding after the winner finished the
-    // query): forward it when the trace was kept, drop it otherwise.
+    // Late span (a worker span closing after the query's record settled
+    // the trace): forward it when the trace was kept, drop it otherwise.
     if (!Kept) {
       Tracer::DroppedSpans.fetch_add(1, std::memory_order_relaxed);
       return;

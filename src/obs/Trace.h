@@ -12,7 +12,7 @@
 /// Cross-thread queries carry an explicit QueryContext (128-bit trace
 /// id, parent span id, sampling decision) through the data plane:
 /// HttpEndpoint mints one per POST /v1/synthesize (honoring an inbound
-/// W3C traceparent header), the router and async service pass it along,
+/// W3C traceparent header), the async service passes it along,
 /// and ScopedQueryContext adopts it into a worker's thread-local stack
 /// so spans opened there join the query's trace instead of starting
 /// orphan roots. While a context's TraceBuffer is attached, the query's
@@ -71,8 +71,9 @@ public:
 /// instead of only at the head. Shared by every thread the query
 /// touches. finish(true) flushes the buffered spans to the live sink;
 /// finish(false) drops them (counted in Tracer::droppedSpans()). Spans
-/// arriving after finish — e.g. a cancelled hedge loser unwinding — are
-/// forwarded directly when the trace was kept and dropped otherwise.
+/// arriving after finish — e.g. a worker's `async.task` span closing
+/// after its record settled the trace — are forwarded directly when the
+/// trace was kept and dropped otherwise.
 class TraceBuffer {
 public:
   explicit TraceBuffer(size_t Capacity = 256);

@@ -63,7 +63,7 @@ ServiceReport immediateReport(ServiceStatus St) {
 }
 
 /// Emits the wide-event query-log record for a query this layer owns
-/// (no router above claimed it) and settles the trace's tail-sampling
+/// (no caller above claimed it) and settles the trace's tail-sampling
 /// decision. Called *after* the completion callback, so by the time the
 /// buffered spans flush the endpoint's root span is already among them.
 /// finishQueryTrace runs unconditionally — the trace buffer must be
@@ -89,8 +89,7 @@ void recordOwnedQuery(const obs::QueryContext &Ctx, std::string_view Domain,
     if (A.Try > 0)
       ++R.Retries;
   R.QueueWaitMs = Rep.QueueWaitMs;
-  for (int I = 0; I < 4; ++I)
-    R.StageMs[I] = Rep.StageMs[I];
+  R.StageMs = Rep.StageMs;
   R.TotalMs = TotalMs;
   R.PathCacheHit = Rep.PathCacheHit;
   R.WordCacheHit = Rep.WordCacheHit;
@@ -136,8 +135,7 @@ AsyncSynthesisService::AsyncSynthesisService(AsyncOptions O)
                    obs::SynthesizeResponse R;
                    R.Code = httpStatusFor(Rep.St);
                    // Shed and transient unavailability are the client's
-                   // cue to retry (or the front tier's, which owns the
-                   // retry budget).
+                   // cue to retry.
                    if (R.Code == 429 || R.Code == 503)
                      R.RetryAfterSeconds = 1;
                    R.Body = serviceReportJson(Rep, Domain);
@@ -242,11 +240,10 @@ AsyncSynthesisService::submit(std::string_view DomainName,
 
   // Claim the query-log record. An invalid context means this submit
   // *is* the query's root (direct API use, nothing above us), so mint
-  // one; a valid-but-unrecorded context (endpoint straight to this
-  // worker) is claimed here; one already marked Recorded belongs to the
-  // router, which logs the whole fan-out as a single record. Every path
-  // below — including the immediate rejections — emits exactly one
-  // record when this layer owns it.
+  // one; a valid-but-unrecorded context (the endpoint's) is claimed
+  // here; one already marked Recorded belongs to the caller that claimed
+  // it. Every path below — including the immediate rejections — emits
+  // exactly one record when this layer owns it.
   obs::QueryContext Ctx = SO.Ctx;
   if (!Ctx.valid())
     Ctx = obs::startQueryContext();
@@ -254,7 +251,7 @@ AsyncSynthesisService::submit(std::string_view DomainName,
   Ctx.Recorded = true;
 
   // Immediate rejections satisfy the future *and* the callback before
-  // returning, so a callback-driven caller (router, data plane) never
+  // returning, so a callback-driven caller (the data plane) never
   // needs to also poll the future.
   auto Reject = [&](ServiceStatus St, const char *Gate) {
     std::promise<ServiceReport> Immediate;
@@ -341,7 +338,7 @@ AsyncSynthesisService::submit(std::string_view DomainName,
   std::string Query(QueryText);
   *Task = std::packaged_task<ServiceReport()>(
       [this, DL, Domain = std::move(Domain), Query = std::move(Query),
-       Deadline, Limited, Enqueued, Cancel = SO.Cancel, Done, Ctx, OwnsRecord,
+       Deadline, Limited, Enqueued, Done, Ctx, OwnsRecord,
        BudgetMs]() -> ServiceReport {
         AsyncInstruments &M = AsyncInstruments::get();
         double WaitMs = std::chrono::duration<double, std::milli>(
@@ -366,16 +363,6 @@ AsyncSynthesisService::submit(std::string_view DomainName,
             recordOwnedQuery(Ctx, Domain, Query, Rep, "admitted", BudgetMs);
           return Rep;
         };
-
-        // Caller-side cancellation (a hedge's loser): drop before any
-        // ladder work.
-        if (Cancel && Cancel->load(std::memory_order_acquire)) {
-          Cancelled.fetch_add(1, std::memory_order_relaxed);
-          M.Cancelled.inc();
-          ServiceReport Rep = immediateReport(ServiceStatus::Cancelled);
-          Rep.TotalSeconds = WaitMs / 1000.0;
-          return Finish(std::move(Rep));
-        }
 
         // Cancellation of queued-past-deadline work: the budget the
         // ladder would get is already spent, so report the miss without

@@ -40,12 +40,11 @@
 /// service's introspection endpoint, so POST /v1/synthesize submits
 /// here and answers through the endpoint's deferred-reply path (see
 /// obs/HttpEndpoint.h). The callback-taking submit() overload carries a
-/// per-query budget override and a cooperative cancel token — what the
-/// front-tier router uses to cancel a hedged request's loser.
+/// per-query budget override and the request's trace context.
 ///
 /// beginDrain() starts a graceful shutdown window: new submissions are
 /// rejected with ServiceStatus::Draining, /readyz flips to 503 so a
-/// router stops picking this worker, queued work past the drain
+/// load balancer stops picking this process, queued work past the drain
 /// deadline is cancelled instead of run, and running work has its
 /// budget clipped to the deadline. Destruction still drains fully:
 /// every accepted future completes before the destructor returns. The
@@ -109,18 +108,13 @@ struct SubmitOptions {
   /// Per-query total budget; 0 = the domain's configured TotalBudgetMs.
   /// The data plane threads the request's budget_ms through here.
   uint64_t BudgetMs = 0;
-  /// Cooperative cancellation: when set before the worker dequeues the
-  /// task, the query reports ServiceStatus::Cancelled without running
-  /// the ladder (best effort — a query already running completes). The
-  /// router cancels a hedge's loser through this.
-  std::shared_ptr<std::atomic<bool>> Cancel;
-  /// Trace context of the originating query (HttpEndpoint → Router →
-  /// here). The worker adopts it so `async.task` and every pipeline span
-  /// parent under the submitting query's span instead of starting an
-  /// orphan tree. Invalid (default) = this submit *is* the query's root:
+  /// Trace context of the originating query (HttpEndpoint → here). The
+  /// worker adopts it so `async.task` and every pipeline span parent
+  /// under the submitting query's span instead of starting an orphan
+  /// tree. Invalid (default) = this submit *is* the query's root:
   /// the layer mints a context and owns the query-log record; a valid
   /// context with Ctx.Recorded unset is claimed here, and one already
-  /// marked Recorded is logged upstream (the router).
+  /// marked Recorded is logged by whichever caller claimed it.
   obs::QueryContext Ctx;
 };
 
@@ -150,15 +144,15 @@ public:
                                     std::string_view QueryText);
 
   /// Same, with per-submission options and an optional completion
-  /// callback (the asynchronous consumers — data plane, router — get
-  /// their answer without parking a thread on the future).
+  /// callback (the asynchronous consumer — the data plane — gets its
+  /// answer without parking a thread on the future).
   std::future<ServiceReport> submit(std::string_view DomainName,
                                     std::string_view QueryText,
                                     const SubmitOptions &SO, Callback Done);
 
   /// Starts a graceful drain: from now on submit() rejects immediately
   /// with ServiceStatus::Draining, /readyz (via the endpoint health
-  /// provider) reports 503 so routers stop sending traffic, and
+  /// provider) reports 503 so load balancers stop sending traffic, and
   /// \p GraceMs from now queued-but-unstarted work is cancelled instead
   /// of run (work dequeued inside the grace window still runs, with its
   /// budget clipped to the drain deadline). Idempotent; there is no

@@ -57,7 +57,7 @@ int dggt::httpStatusFor(ServiceStatus St) {
   case ServiceStatus::CircuitOpen:
   case ServiceStatus::Draining:
   case ServiceStatus::Cancelled:
-    // Temporarily unable / shard going away: safe to retry elsewhere.
+    // Temporarily unable / process going away: safe to retry elsewhere.
     return 503;
   case ServiceStatus::UnknownDomain:
     return 404;
@@ -547,8 +547,7 @@ ServiceReport SynthesisService::query(std::string_view DomainName,
   SharedQueryCaches Caches{DS->Paths.get(), DS->Words.get()};
   PreparedQuery Full = DS->D->frontEnd().prepare(QueryText, Caches);
   PipelineRan = true;
-  for (size_t I = 0; I < 4; ++I)
-    Rep.StageMs[I] = Full.StageMs[I];
+  Rep.StageMs = Full.StageMs;
   Rep.PathCacheHit = Full.PathCacheHit;
   Rep.WordCacheHit = Full.WordCacheHit;
 

@@ -30,6 +30,7 @@
 
 #include "domains/Domain.h"
 #include "obs/Cost.h"
+#include "obs/QueryLog.h"
 #include "obs/Trace.h"
 #include "synth/Synthesizer.h"
 #include "synth/dggt/DggtSynthesizer.h"
@@ -67,11 +68,10 @@ enum class ServiceStatus {
   UnknownDomain,    ///< No domain registered under that name.
   Overloaded,       ///< Shed before running: the async layer's submission
                     ///< queue was full (backpressure).
-  Cancelled,        ///< Cancelled by the caller (a hedged sibling won, or
-                    ///< a drain deadline overtook the queued work) before
-                    ///< the ladder produced an answer.
-  Draining,         ///< Rejected at submit: the worker is draining and no
-                    ///< longer admits queries (retry on another shard).
+  Cancelled,        ///< A drain deadline overtook the queued work before
+                    ///< the ladder ran.
+  Draining,         ///< Rejected at submit: the process is draining and no
+                    ///< longer admits queries (retry on another replica).
 };
 
 /// Short name of \p St ("ok", "deadline-exceeded", ...).
@@ -134,9 +134,9 @@ struct ServiceReport {
   /// Submit-to-start queue wait (ms); stamped by the async layer, 0 for
   /// direct query() calls.
   double QueueWaitMs = 0;
-  /// Winning attempt's pipeline stage latencies in the fixed order
-  /// {parse, prune, word_to_api, edge_to_path} (obs::QueryStageNames).
-  double StageMs[4] = {0, 0, 0, 0};
+  /// Winning attempt's pipeline stage latencies (obs::QueryStageNames
+  /// order).
+  obs::StageLatencyMs StageMs{};
   /// Best-effort shared-cache attribution of the winning attempt (see
   /// PreparedQuery).
   bool PathCacheHit = false;

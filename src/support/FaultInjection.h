@@ -41,15 +41,8 @@ inline constexpr std::string_view EdgeToPathEdge = "edgetopath.edge";
 inline constexpr std::string_view DggtMerge = "dggt.merge";
 inline constexpr std::string_view HisynEnumerate = "hisyn.enumerate";
 inline constexpr std::string_view ServiceTransient = "service.transient";
-/// Data-plane points (see src/router/ and obs/HttpEndpoint): a firing
-/// connect point fails an upstream call before submission, a read-stall
-/// point turns a completed call into a timeout, and a reply point drops
-/// the HTTP connection instead of writing the deferred response. Each is
-/// also consulted with a ".<shard-name>" suffix (the injector accepts
-/// arbitrary names), so DGGT_FAULTS can target one shard of a set:
-/// `router.connect.shard-1=always`.
-inline constexpr std::string_view RouterConnect = "router.connect";
-inline constexpr std::string_view RouterReadStall = "router.read_stall";
+/// Data-plane point (see obs/HttpEndpoint): a firing reply point drops
+/// the HTTP connection instead of writing the deferred response.
 inline constexpr std::string_view DataplaneReply = "dataplane.reply";
 } // namespace faults
 

@@ -15,6 +15,7 @@
 #include "nlp/DependencyGraph.h"
 #include "nlp/GraphPruner.h"
 #include "nlu/WordToApiMatcher.h"
+#include "obs/QueryLog.h"
 #include "synth/EdgeToPath.h"
 #include "text/Thesaurus.h"
 
@@ -43,11 +44,10 @@ struct PreparedQuery {
   EdgeToPathMap Edges;
   PathSearchLimits Limits;
 
-  /// Per-stage wall latency in the fixed order {parse, prune,
-  /// word_to_api, edge_to_path} (obs::QueryStageNames); 0 for stages
+  /// Per-stage wall latency (obs::QueryStageNames order); 0 for stages
   /// that did not run (prepareFromGraph skips the first two). Feeds the
   /// wide-event query log's stage breakdown.
-  double StageMs[4] = {0.0, 0.0, 0.0, 0.0};
+  obs::StageLatencyMs StageMs{};
   /// True if this query's own lookups hit the shared cache (at least one
   /// node's candidates / one path search answered from it). Counted on
   /// the preparing thread, so other workers' hits never mark this query.

@@ -5,7 +5,8 @@
 // multi-thread submission hammer, async results staying bit-identical
 // to the serial service, backpressure shedding at the queue cap,
 // cancellation of tasks dequeued past their submission-time deadline,
-// and the shared per-domain caches (hits are deterministic and change
+// admission closing at a drain while accepted work completes, and the
+// shared per-domain caches (hits are deterministic and change
 // no results).
 //
 //===----------------------------------------------------------------------===//
@@ -346,6 +347,37 @@ TEST_F(AsyncServiceTest, QueuedPastDeadlineIsCancelledNotRun) {
   AsyncStats St = S.stats();
   EXPECT_EQ(St.Cancelled, 1u);
   EXPECT_EQ(St.Completed, 1u);
+}
+
+TEST_F(AsyncServiceTest, DrainVsInflightRaceCompletesEverythingAccepted) {
+  AsyncOptions O;
+  O.Workers = 1; // Serialize so the queue really holds work at drain time.
+  O.QueueCap = 64;
+  AsyncSynthesisService S(O);
+  S.addDomain(textEditing());
+
+  // Race a batch of accepted submissions against beginDrain().
+  std::vector<std::future<ServiceReport>> Accepted;
+  for (int I = 0; I < 8; ++I)
+    Accepted.push_back(S.submit("TextEditing", "sort all lines"));
+  S.beginDrain(60000);
+
+  // Admission slams shut immediately and permanently.
+  ServiceReport Rejected = S.submit("TextEditing", "sort all lines").get();
+  EXPECT_EQ(Rejected.St, ServiceStatus::Draining);
+  EXPECT_GE(S.stats().DrainRejected, 1u);
+
+  // Everything accepted before the drain still completes — finished or
+  // deliberately cancelled, never hung.
+  for (std::future<ServiceReport> &F : Accepted) {
+    ServiceReport Rep = F.get();
+    EXPECT_TRUE(Rep.St == ServiceStatus::Ok ||
+                Rep.St == ServiceStatus::Cancelled ||
+                Rep.St == ServiceStatus::DeadlineExceeded)
+        << serviceStatusName(Rep.St);
+  }
+  S.drain();
+  EXPECT_TRUE(S.drainComplete());
 }
 
 //===----------------------------------------------------------------------===//

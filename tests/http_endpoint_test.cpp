@@ -23,6 +23,8 @@
 #include "support/Clock.h"
 #include "support/FaultInjection.h"
 
+#include "LoopbackHttp.h"
+
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -41,74 +43,9 @@
 #include <vector>
 
 using namespace dggt;
+using namespace dggt::test;
 
 namespace {
-
-/// One parsed HTTP response (enough structure for assertions).
-struct Response {
-  int Code = 0;        ///< 0 when the connection itself failed.
-  std::string Head;    ///< Status line + headers.
-  std::string Body;
-};
-
-/// Sends \p Bytes verbatim to 127.0.0.1:\p Port and reads to EOF (the
-/// server closes after one response).
-std::string rawExchange(uint16_t Port, const std::string &Bytes) {
-  int Fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (Fd < 0)
-    return "";
-  sockaddr_in Addr{};
-  Addr.sin_family = AF_INET;
-  Addr.sin_port = htons(Port);
-  inet_pton(AF_INET, "127.0.0.1", &Addr.sin_addr);
-  if (connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0) {
-    close(Fd);
-    return "";
-  }
-  size_t Off = 0;
-  while (Off < Bytes.size()) {
-    ssize_t N = send(Fd, Bytes.data() + Off, Bytes.size() - Off, 0);
-    if (N <= 0)
-      break;
-    Off += static_cast<size_t>(N);
-  }
-  std::string Out;
-  char Buf[4096];
-  ssize_t R;
-  while ((R = read(Fd, Buf, sizeof(Buf))) > 0)
-    Out.append(Buf, static_cast<size_t>(R));
-  close(Fd);
-  return Out;
-}
-
-Response parseResponse(const std::string &Raw) {
-  Response Rep;
-  if (Raw.size() < 12 || Raw.compare(0, 9, "HTTP/1.1 ") != 0)
-    return Rep;
-  Rep.Code = std::atoi(Raw.c_str() + 9);
-  size_t HeadEnd = Raw.find("\r\n\r\n");
-  if (HeadEnd == std::string::npos)
-    return Rep;
-  Rep.Head = Raw.substr(0, HeadEnd);
-  Rep.Body = Raw.substr(HeadEnd + 4);
-  return Rep;
-}
-
-Response get(uint16_t Port, const std::string &Target) {
-  return parseResponse(rawExchange(
-      Port, "GET " + Target + " HTTP/1.1\r\nHost: localhost\r\n\r\n"));
-}
-
-/// Frames one POST /v1/synthesize with a correct Content-Length.
-std::string postFrame(const std::string &Body) {
-  return "POST /v1/synthesize HTTP/1.1\r\nHost: localhost\r\n"
-         "Content-Length: " +
-         std::to_string(Body.size()) + "\r\n\r\n" + Body;
-}
-
-Response post(uint16_t Port, const std::string &Body) {
-  return parseResponse(rawExchange(Port, postFrame(Body)));
-}
 
 /// A raw connection whose send and read phases are split, so a test can
 /// interleave clock advances (parked-reply deadlines, body trickle)
@@ -721,7 +658,7 @@ TEST_F(HttpEndpointTest, SynthesizeCannedRejectionCarriesRetryAfter) {
 TEST_F(HttpEndpointTest, SynthesizeReplyFaultDropsTheConnection) {
   // dataplane.reply: the answer is computed but never written — the
   // client sees a clean close with zero response bytes and must treat it
-  // as retryable (the router's transport-failure classification).
+  // as a retryable transport failure.
   auto Ep = startEndpoint();
   std::atomic<int> Answered{0};
   Ep->setSynthesizeProvider(
@@ -822,8 +759,8 @@ TEST_F(HttpEndpointTest, DrainFlipsReadyzAndShedsSynthesizePosts) {
   EXPECT_EQ(Ready.Code, 503);
   EXPECT_NE(Ready.Body.find("draining"), std::string::npos) << Ready.Body;
 
-  // New work is refused with retry guidance — the front tier's cue to
-  // route the query to another shard.
+  // New work is refused with retry guidance — the client's cue to send
+  // the query to another replica.
   Response Shed = post(Port, "{\"domain\":\"TextEditing\",\"query\":\"sort\"}");
   EXPECT_EQ(Shed.Code, 503);
   EXPECT_NE(Shed.Body.find("\"status\":\"draining\""), std::string::npos)
