@@ -15,45 +15,62 @@
 #include "eval/Distribution.h"
 #include "eval/Harness.h"
 #include "eval/Metrics.h"
-#include "obs/Metrics.h"
 #include "support/Table.h"
 #include "synth/dggt/DggtSynthesizer.h"
 #include "synth/hisyn/HisynSynthesizer.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
 namespace dggt::bench {
 
-/// Latency summary over a set of timed runs, built on the observability
-/// histogram (standalone instrument: always records, no global switch)
-/// so the bench binaries and the exported service metrics share one
-/// bucket ladder and percentile estimator.
+/// Latency summary over a set of timed runs. It keeps every sample, so
+/// its percentiles are measured values (nearest rank), not estimates
+/// interpolated inside histogram buckets.
 class LatencySummary {
 public:
-  LatencySummary() : H(obs::Histogram::defaultLatencyBucketsMs()) {}
-  explicit LatencySummary(const std::vector<CaseOutcome> &Outcomes)
-      : LatencySummary() {
+  LatencySummary() = default;
+  explicit LatencySummary(const std::vector<CaseOutcome> &Outcomes) {
     for (const CaseOutcome &O : Outcomes)
       addSeconds(O.Seconds);
   }
 
-  void addSeconds(double Seconds) { H.observe(Seconds * 1000.0); }
-  void addMs(double Ms) { H.observe(Ms); }
+  void addSeconds(double Seconds) { addMs(Seconds * 1000.0); }
+  void addMs(double Ms) { SamplesMs.push_back(Ms); }
 
-  uint64_t count() const { return H.count(); }
+  uint64_t count() const { return SamplesMs.size(); }
   double meanMs() const {
-    return H.count() ? H.sum() / static_cast<double>(H.count()) : 0.0;
+    return SamplesMs.empty()
+               ? 0.0
+               : std::accumulate(SamplesMs.begin(), SamplesMs.end(), 0.0) /
+                     static_cast<double>(count());
   }
-  double p50Ms() const { return H.p50(); }
-  double p90Ms() const { return H.p90(); }
-  double p99Ms() const { return H.p99(); }
-  const obs::Histogram &histogram() const { return H; }
+  double p50Ms() const { return percentileMs(50); }
+  double p90Ms() const { return percentileMs(90); }
+  double p95Ms() const { return percentileMs(95); }
+  double p99Ms() const { return percentileMs(99); }
+
+  /// Nearest-rank P-th percentile (P in (0, 100]): the smallest sample
+  /// with at least P% of the samples at or below it; 0 when empty.
+  double percentileMs(double P) const {
+    if (SamplesMs.empty())
+      return 0.0;
+    std::vector<double> Sorted = SamplesMs;
+    size_t Rank = static_cast<size_t>(
+        std::ceil(P / 100.0 * static_cast<double>(Sorted.size())));
+    size_t K = std::clamp<size_t>(Rank, 1, Sorted.size()) - 1;
+    std::nth_element(Sorted.begin(), Sorted.begin() + static_cast<long>(K),
+                     Sorted.end());
+    return Sorted[K];
+  }
 
 private:
-  obs::Histogram H;
+  std::vector<double> SamplesMs;
 };
 
 /// Both evaluation domains, built once.

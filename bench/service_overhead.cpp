@@ -10,6 +10,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
+#include "obs/Metrics.h"
 #include "service/SynthesisService.h"
 #include "support/FaultInjection.h"
 #include "synth/dggt/DggtSynthesizer.h"

@@ -20,16 +20,6 @@
 // shared-cache hit rates. CI parses it to enforce the >= 2x throughput
 // acceptance bound.
 //
-// --overload MULT switches to the open-loop overload experiment
-// instead: capacity is first calibrated closed-loop, then fixed-rate
-// arrivals at MULT x capacity are replayed twice against a tight
-// per-query budget — once with the static knobs and once with the
-// adaptive LoadController — and goodput (queries answered Ok under
-// their submission-time deadline, per wall second) is compared. The
-// adaptive run should win at saturation because the admission gate
-// sheds doomed work at submit() instead of letting it burn queue wait
-// and worker time before missing its deadline anyway.
-//
 //===----------------------------------------------------------------------===//
 
 // --workload runs the accuracy-under-load experiment instead: a seeded
@@ -117,8 +107,6 @@ struct ModeResult {
   }
 };
 
-// The summaries wrap the non-movable obs::Histogram, so results are
-// filled in place.
 void runSerial(const bench::Domains &D, const std::vector<WorkItem> &Work,
                ModeResult &R) {
   ServiceOptions Opts;
@@ -140,14 +128,10 @@ void runSerial(const bench::Domains &D, const std::vector<WorkItem> &Work,
 
 void runAsync(const bench::Domains &D, const std::vector<WorkItem> &Work,
               unsigned Workers, long HttpPort, double *PathHitRate,
-              double *WordHitRate, ModeResult &R, bool Caches = true) {
+              double *WordHitRate, ModeResult &R) {
   AsyncOptions Opts;
   Opts.Workers = Workers;
   Opts.QueueCap = 0; // The closed-loop window below bounds the queue.
-  if (!Caches) {
-    Opts.Service.PathCacheBytes = 0;
-    Opts.Service.WordCacheBytes = 0;
-  }
   if (HttpPort >= 0)
     Opts.Service.HttpPort = static_cast<uint16_t>(HttpPort);
   AsyncSynthesisService S(Opts);
@@ -221,134 +205,6 @@ void runAsync(const bench::Domains &D, const std::vector<WorkItem> &Work,
   *WordHitRate = HitRate(WH, WM);
 }
 
-/// One open-loop overload run: fixed-rate arrivals against a tight
-/// budget, classified by the service's own submission-time deadline
-/// semantics (Ok means the answer landed inside the budget that started
-/// ticking at submit()).
-struct OverloadOutcome {
-  double WallSeconds = 0;
-  uint64_t Good = 0;     ///< Status Ok: answered within deadline.
-  uint64_t Rejected = 0; ///< Overloaded at submit (shed or gated).
-  uint64_t Missed = 0;   ///< DeadlineExceeded (cancelled or ran late).
-  uint64_t Other = 0;    ///< NoAnswer/NoCandidates and friends.
-  AsyncStats Stats;
-  size_t EffQueueCap = 0;
-  unsigned EffBatch = 0;
-
-  double goodputQps() const {
-    return WallSeconds > 0 ? static_cast<double>(Good) / WallSeconds : 0.0;
-  }
-};
-
-void runOverload(const bench::Domains &D, const std::vector<WorkItem> &Work,
-                 const std::vector<WorkItem> &WarmupRound, unsigned Workers,
-                 double OfferedQps, uint64_t BudgetMs, bool Adaptive,
-                 double GateOn, double GateOff, OverloadOutcome &R) {
-  AsyncOptions Opts;
-  Opts.Workers = Workers;
-  Opts.QueueCap = 256;
-  Opts.Service.TotalBudgetMs = BudgetMs;
-  // Shared caches stay off in this experiment: cache warmth would make
-  // per-query cost (and so the service's capacity) drift over the run,
-  // and the offered rate is calibrated against a fixed capacity. The
-  // closed-loop comparison above is where the caches are measured.
-  Opts.Service.PathCacheBytes = 0;
-  Opts.Service.WordCacheBytes = 0;
-  // The per-domain circuit breaker is itself a crude admission
-  // controller (consecutive misses trip it, and an open breaker rejects
-  // at memcpy speed), which would smear the static-vs-adaptive queue
-  // comparison with its own duty cycle. Disable it identically in both
-  // modes to isolate what the LoadController adds; in production the
-  // two compose.
-  Opts.Service.BreakerTripThreshold = 1000000;
-  Opts.LoadControl.Enabled = Adaptive;
-  // React within a few dozen arrivals; the default 100 ms cadence is
-  // tuned for long-lived services, not a seconds-long experiment.
-  Opts.LoadControl.TickIntervalMs = 50;
-  // Dequeue-time cancellation already drains stale work at memcpy
-  // speed, so a deep queue is cheap here and hard shedding mostly
-  // discards feasible work; keep the cap floor high and let the
-  // per-domain admission gate do the targeted rejection (doomed
-  // heavy-domain queries at submit) — that is where the goodput is.
-  Opts.LoadControl.MinQueueCap = 128;
-  // Wider coalescing starves the heavy domain under saturation (its
-  // queued tasks age out while a worker chews the cheap domain's run),
-  // so pin the batch at its configured value for this experiment.
-  Opts.LoadControl.MaxCoalesceBatch = Opts.CoalesceBatch;
-  // Service times are heavy-tailed, so a p50-based wait prediction is
-  // optimistic for the tail; gate inside the budget (--gate-on/off).
-  Opts.LoadControl.GateOnFraction = GateOn;
-  Opts.LoadControl.GateOffFraction = GateOff;
-  AsyncSynthesisService S(Opts);
-  S.addDomain(*D.TextEditing);
-  S.addDomain(*D.AstMatcher);
-
-  // Closed-loop warmup round: brings the process to the steady state
-  // the calibration measured and, for the adaptive run, fills the
-  // per-domain service-time histograms the admission gate predicts
-  // with (a cold gate has no p50 and admits everything). Warmup
-  // futures are not classified.
-  {
-    const size_t Window = static_cast<size_t>(Workers) * 4;
-    std::vector<std::future<ServiceReport>> Warm;
-    for (size_t I = 0; I < WarmupRound.size();) {
-      Warm.clear();
-      for (size_t K = 0; K < Window && I < WarmupRound.size(); ++K, ++I)
-        Warm.push_back(
-            S.submit(WarmupRound[I].Domain, *WarmupRound[I].Query));
-      for (std::future<ServiceReport> &F : Warm)
-        F.wait();
-    }
-  }
-
-  // Counters up to here belong to the warmup; report measured-phase
-  // deltas only.
-  AsyncStats Before = S.stats();
-
-  std::vector<std::future<ServiceReport>> Futures;
-  Futures.reserve(Work.size());
-  std::chrono::duration<double> Gap(1.0 / OfferedQps);
-  Budget::Clock::time_point Start = Budget::Clock::now();
-  for (size_t I = 0; I < Work.size(); ++I) {
-    // Open loop: arrivals are scheduled by the offered rate alone and
-    // never wait on completions — exactly what saturates a service.
-    std::this_thread::sleep_until(
-        Start + std::chrono::duration_cast<Budget::Clock::duration>(
-                    Gap * static_cast<double>(I)));
-    Futures.push_back(S.submit(Work[I].Domain, *Work[I].Query));
-  }
-  for (std::future<ServiceReport> &F : Futures)
-    F.wait();
-  R.WallSeconds =
-      std::chrono::duration<double>(Budget::Clock::now() - Start).count();
-  for (std::future<ServiceReport> &F : Futures) {
-    ServiceReport Rep = F.get();
-    switch (Rep.St) {
-    case ServiceStatus::Ok:
-      ++R.Good;
-      break;
-    case ServiceStatus::Overloaded:
-      ++R.Rejected;
-      break;
-    case ServiceStatus::DeadlineExceeded:
-      ++R.Missed;
-      break;
-    default:
-      ++R.Other;
-      break;
-    }
-  }
-  R.Stats = S.stats();
-  R.Stats.Submitted -= Before.Submitted;
-  R.Stats.Shed -= Before.Shed;
-  R.Stats.GateRejected -= Before.GateRejected;
-  R.Stats.Cancelled -= Before.Cancelled;
-  R.Stats.Completed -= Before.Completed;
-  R.Stats.Coalesced -= Before.Coalesced;
-  R.EffQueueCap = S.queueCap();
-  R.EffBatch = S.coalesceBatch();
-}
-
 /// Offered/correct pair for one slice of the workload replay.
 struct WorkloadTally {
   uint64_t Offered = 0;
@@ -419,7 +275,7 @@ void runWorkloadReplay(AsyncSynthesisService &S, const WorkloadGenerator &Gen,
           // semantics (the answer landed inside the budget that started
           // at submit), so a late answer is already non-Ok here; a
           // near-miss is correct precisely when it did *not* get an
-          // expression — shed, gated, deadline-missed and no-answer all
+          // expression — shed, deadline-missed and no-answer all
           // count as the clean failure the entry demands.
           bool Ok = Rep.St == ServiceStatus::Ok;
           bool Good =
@@ -459,9 +315,7 @@ int main(int argc, char **argv) {
   int Rounds = 3;
   size_t Limit = static_cast<size_t>(-1);
   long HttpPort = -1;
-  double Overload = 0; // 0 = the closed-loop serial/async comparison.
   uint64_t BudgetMs = 300;
-  double GateOn = 0.8, GateOff = 0.6;
   bool WorkloadMode = false;
   size_t WorkloadQueries = 100000;
   uint64_t WorkloadSeed = 0; // 0 = DGGT_WORKLOAD_SEED or the default.
@@ -491,34 +345,18 @@ int main(int argc, char **argv) {
       // Live introspection of the async run: scrape /metrics or /statusz
       // while the bench is hot (0 = ephemeral port, announced on stdout).
       HttpPort = std::atol(argv[++I]);
-    else if (Arg == "--overload" && I + 1 < argc)
-      // Open-loop overload experiment: arrivals at MULT x calibrated
-      // capacity, static knobs vs the adaptive LoadController.
-      Overload = std::atof(argv[++I]);
     else if (Arg == "--budget-ms" && I + 1 < argc)
-      // Per-query budget for the overload experiment only.
+      // Per-query budget for the workload replay only.
       BudgetMs = static_cast<uint64_t>(std::atoll(argv[++I]));
-    else if (Arg == "--gate-on" && I + 1 < argc)
-      // Admission-gate close/open thresholds as budget fractions, for
-      // the overload experiment's adaptive run.
-      GateOn = std::atof(argv[++I]);
-    else if (Arg == "--gate-off" && I + 1 < argc)
-      GateOff = std::atof(argv[++I]);
     else {
       std::fprintf(stderr,
                    "usage: %s [--json] [--workers N] [--rounds N] "
                    "[--limit QUERIES_PER_DOMAIN] [--http-port PORT] "
                    "[--workload [--queries N] [--seed N] [--load MULT] "
-                   "[--budget-ms N]] "
-                   "[--overload MULT [--budget-ms N] [--gate-on F] "
-                   "[--gate-off F]]\n",
+                   "[--budget-ms N]]\n",
                    argv[0]);
       return 2;
     }
-  }
-  if (Overload < 0 || (Overload > 0 && Overload < 0.1)) {
-    std::fprintf(stderr, "--overload multiplier must be >= 0.1\n");
-    return 2;
   }
   if (HttpPort > 65535) {
     std::fprintf(stderr, "--http-port must be 0..65535\n");
@@ -721,116 +559,6 @@ int main(int argc, char **argv) {
     return RecordsOk ? 0 : 1;
   }
 
-  if (Overload > 0) {
-    // The overload experiment replays the heavy domain only: admission
-    // control earns its keep when per-query service time is comparable
-    // to the budget (a doomed query then burns a worker for a budget's
-    // worth of time before missing). The cheap TextEditing mix dilutes
-    // that regime — its queries are discarded or completed for almost
-    // nothing either way.
-    const std::vector<QueryCase> &AM = D.AstMatcher->queries();
-    size_t NumAM = std::min(Limit, AM.size());
-    std::vector<WorkItem> Heavy;
-    Heavy.reserve(NumAM * static_cast<size_t>(Rounds));
-    for (int R = 0; R < Rounds; ++R)
-      for (size_t I = 0; I < NumAM; ++I)
-        Heavy.push_back({"ASTMatcher", &AM[I].Query});
-    Work = std::move(Heavy);
-
-    // Calibrate sustainable capacity with a warm closed-loop pass over
-    // one workload round (static knobs, default generous budget), then
-    // offer MULT x that rate open-loop against the tight budget.
-    std::fprintf(stderr, "[bench] overload: calibrating capacity...\n");
-    std::vector<WorkItem> Calib(Work.begin(),
-                                Work.begin() + static_cast<long>(NumAM));
-    double PH = 0, WH = 0;
-    {
-      // Warm the toolchain (lazy parser tables, allocator) so the
-      // measured pass reflects steady state, not first-touch costs.
-      ModeResult Warm;
-      runAsync(D, Calib, Workers, /*HttpPort=*/-1, &PH, &WH, Warm,
-               /*Caches=*/false);
-    }
-    ModeResult Cap;
-    runAsync(D, Calib, Workers, /*HttpPort=*/-1, &PH, &WH, Cap,
-             /*Caches=*/false);
-    double CapacityQps = Cap.qps();
-    double OfferedQps = CapacityQps * Overload;
-    if (CapacityQps <= 0) {
-      std::fprintf(stderr, "[bench] overload: calibration produced 0 qps\n");
-      return 1;
-    }
-    std::fprintf(stderr,
-                 "[bench] overload: capacity %.1f q/s, offering %.1f q/s "
-                 "(%.1fx) with a %llu ms budget, static knobs first...\n",
-                 CapacityQps, OfferedQps, Overload,
-                 static_cast<unsigned long long>(BudgetMs));
-    OverloadOutcome Static;
-    runOverload(D, Work, Calib, Workers, OfferedQps, BudgetMs,
-                /*Adaptive=*/false, GateOn, GateOff, Static);
-    std::fprintf(stderr, "[bench] overload: adaptive controller...\n");
-    OverloadOutcome Adaptive;
-    runOverload(D, Work, Calib, Workers, OfferedQps, BudgetMs,
-                /*Adaptive=*/true, GateOn, GateOff, Adaptive);
-    double Gain = Static.goodputQps() > 0
-                      ? Adaptive.goodputQps() / Static.goodputQps()
-                      : 0.0;
-
-    if (Json) {
-      auto PrintMode = [](const char *Name, const OverloadOutcome &O) {
-        std::printf(
-            "\"%s\":{\"goodput_qps\":%.2f,\"wall_s\":%.3f,\"ok\":%llu,"
-            "\"rejected\":%llu,\"deadline_exceeded\":%llu,\"other\":%llu,"
-            "\"shed\":%llu,\"gate_rejected\":%llu,\"cancelled\":%llu,"
-            "\"queue_cap\":%zu,\"coalesce_batch\":%u}",
-            Name, O.goodputQps(), O.WallSeconds,
-            static_cast<unsigned long long>(O.Good),
-            static_cast<unsigned long long>(O.Rejected),
-            static_cast<unsigned long long>(O.Missed),
-            static_cast<unsigned long long>(O.Other),
-            static_cast<unsigned long long>(O.Stats.Shed),
-            static_cast<unsigned long long>(O.Stats.GateRejected),
-            static_cast<unsigned long long>(O.Stats.Cancelled), O.EffQueueCap,
-            O.EffBatch);
-      };
-      std::printf("{\"bench\":\"throughput_overload\",\"multiplier\":%.2f,"
-                  "\"capacity_qps\":%.2f,\"offered_qps\":%.2f,"
-                  "\"budget_ms\":%llu,\"queries\":%zu,\"workers\":%u,",
-                  Overload, CapacityQps, OfferedQps,
-                  static_cast<unsigned long long>(BudgetMs), Work.size(),
-                  Workers);
-      PrintMode("static", Static);
-      std::printf(",");
-      PrintMode("adaptive", Adaptive);
-      std::printf(",\"goodput_gain\":%.2f}\n", Gain);
-      return 0;
-    }
-
-    bench::banner("Overload goodput: static knobs vs adaptive load control",
-                  "deadline-aware admission under open-loop saturation");
-    std::printf("capacity %.1f q/s, offered %.1f q/s (%.1fx), budget %llu ms, "
-                "%zu queries\n",
-                CapacityQps, OfferedQps, Overload,
-                static_cast<unsigned long long>(BudgetMs), Work.size());
-    auto PrintMode = [](const char *Name, const OverloadOutcome &O) {
-      std::printf("%-8s goodput %7.1f q/s   ok %5llu   rejected %5llu "
-                  "(shed %llu, gated %llu)   missed %5llu   cancelled %llu   "
-                  "cap %zu   batch %u\n",
-                  Name, O.goodputQps(),
-                  static_cast<unsigned long long>(O.Good),
-                  static_cast<unsigned long long>(O.Rejected),
-                  static_cast<unsigned long long>(O.Stats.Shed),
-                  static_cast<unsigned long long>(O.Stats.GateRejected),
-                  static_cast<unsigned long long>(O.Missed),
-                  static_cast<unsigned long long>(O.Stats.Cancelled),
-                  O.EffQueueCap, O.EffBatch);
-    };
-    PrintMode("static", Static);
-    PrintMode("adaptive", Adaptive);
-    std::printf("goodput gain (adaptive / static): %.2fx\n", Gain);
-    return 0;
-  }
-
   std::fprintf(stderr,
                "[bench] throughput: %zu queries (%d rounds), serial "
                "baseline first...\n",
@@ -866,10 +594,10 @@ int main(int argc, char **argv) {
         "\"path_search_visits\":%llu,\"arena_high_water_bytes\":%llu,"
         "\"expression_mismatches\":%zu}\n",
         Work.size(), Rounds, Workers, Serial.qps(), Serial.TotalSeconds,
-        Serial.E2eMs.p50Ms(), Serial.E2eMs.histogram().percentile(95),
+        Serial.E2eMs.p50Ms(), Serial.E2eMs.p95Ms(),
         Async.qps(), Async.TotalSeconds, Async.E2eMs.p50Ms(),
-        Async.E2eMs.histogram().percentile(95), Async.QueueWaitMs.p50Ms(),
-        Async.QueueWaitMs.histogram().percentile(95), Speedup, PathHitRate,
+        Async.E2eMs.p95Ms(), Async.QueueWaitMs.p50Ms(),
+        Async.QueueWaitMs.p95Ms(), Speedup, PathHitRate,
         WordHitRate, static_cast<unsigned long long>(PathSearchVisits),
         static_cast<unsigned long long>(ArenaHighWater), Mismatches);
     return Mismatches == 0 ? 0 : 1;
@@ -883,14 +611,14 @@ int main(int argc, char **argv) {
   std::printf("serial (1 thread, caches off): %7.1f q/s   p50 %6.2f ms   "
               "p95 %6.2f ms\n",
               Serial.qps(), Serial.E2eMs.p50Ms(),
-              Serial.E2eMs.histogram().percentile(95));
+              Serial.E2eMs.p95Ms());
   std::printf("async (%u workers, caches on): %7.1f q/s   p50 %6.2f ms   "
               "p95 %6.2f ms\n",
               Workers, Async.qps(), Async.E2eMs.p50Ms(),
-              Async.E2eMs.histogram().percentile(95));
+              Async.E2eMs.p95Ms());
   std::printf("queue wait:                    p50 %6.2f ms   p95 %6.2f ms\n",
               Async.QueueWaitMs.p50Ms(),
-              Async.QueueWaitMs.histogram().percentile(95));
+              Async.QueueWaitMs.p95Ms());
   std::printf("speedup: %.2fx   path-cache hit rate: %.1f%%   word-cache "
               "hit rate: %.1f%%\n",
               Speedup, PathHitRate * 100.0, WordHitRate * 100.0);

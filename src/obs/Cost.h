@@ -17,10 +17,10 @@
 ///
 /// The counters are chosen to validate symbolic DP cost bounds against
 /// reality (PAPERS.md, Vieira/Cotterell/Eisner): node visits and in-edge
-/// scans bound the search, bitset words the reachability folding,
-/// merge candidates/survivors and pairwise conflict checks the sibling
-/// cross product, and Cgt fusion ops the prefix-tree joins that own the
-/// residual p99.
+/// scans bound the search, distance entries (BitsetWordsTouched) its
+/// bounding BFS, merge candidates/survivors and pairwise conflict
+/// checks the sibling cross product, and Cgt fusion ops the prefix-tree
+/// joins that own the residual p99.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,6 +52,8 @@ struct CostCounters {
   uint64_t ConflictChecks = 0;     ///< Pairwise or-edge conflict tests.
   uint64_t CgtFusionOps = 0;       ///< Edge fusion attempts into prefix trees.
   uint64_t ArenaHighWaterBytes = 0; ///< queryArena() bytes at query end.
+
+  bool operator==(const CostCounters &) const = default;
 };
 
 /// The calling thread's in-flight query cost vector. Reset by

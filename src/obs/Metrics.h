@@ -52,9 +52,10 @@ using LabelSet = std::vector<std::pair<std::string, std::string>>;
 /// bucket — the same estimator Histogram::percentile() uses. \p Counts
 /// has Bounds.size() + 1 entries (overflow last); overflow samples
 /// saturate at the last finite bound. Returns 0 when every count is 0.
-/// Exists standalone so the load controller can take percentiles of an
-/// *interval* — the element-wise delta between two bucketSnapshot()s of
-/// a cumulative histogram.
+/// Standalone so that bucket counts without a live Histogram can be
+/// read too: /statusz takes arena percentiles from a registry snapshot,
+/// and an interval's percentiles are the element-wise delta of two
+/// bucketSnapshot()s.
 double percentileFromCounts(const std::vector<double> &Bounds,
                             const std::vector<uint64_t> &Counts, double P);
 

@@ -60,7 +60,7 @@ struct QueryLogRecord {
   std::string Query;   ///< Pre-sanitized (sanitizeQueryText).
   std::string Outcome; ///< Service status name.
   std::string Rung;    ///< Answering rung name, or "" if none reached.
-  std::string Gate;    ///< Admission decision: admitted/shed/gate/drain/...
+  std::string Gate;    ///< Admission: admitted/shed/drain/unknown-domain.
   uint32_t Attempts = 0; ///< Ladder rung attempts (RungAttempt count).
   uint32_t Retries = 0;  ///< Attempts that retried a rung (Try > 0).
   double QueueWaitMs = 0.0;

@@ -9,7 +9,6 @@
 
 #include <chrono>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 using namespace dggt;
@@ -30,27 +29,6 @@ struct AsyncInstruments {
         obs::registry().counter("dggt_async_shed_total"),
         obs::registry().counter("dggt_async_cancelled_total"),
         obs::registry().histogram("dggt_async_queue_wait_ms"),
-    };
-    return I;
-  }
-};
-
-/// Load-controller instruments: the decision trail a dashboard watches
-/// to see the knobs move.
-struct LoadInstruments {
-  obs::Gauge &QueueCap, &CoalesceBatch, &WaitP95Ms, &GatedDomains;
-  obs::Counter &Ticks, &CapGrows, &CapShrinks, &GateRejected;
-
-  static LoadInstruments &get() {
-    static LoadInstruments I{
-        obs::registry().gauge("dggt_load_queue_cap"),
-        obs::registry().gauge("dggt_load_coalesce_batch"),
-        obs::registry().gauge("dggt_load_wait_p95_ms"),
-        obs::registry().gauge("dggt_load_gated_domains"),
-        obs::registry().counter("dggt_load_ticks_total"),
-        obs::registry().counter("dggt_load_cap_grow_total"),
-        obs::registry().counter("dggt_load_cap_shrink_total"),
-        obs::registry().counter("dggt_load_gate_rejected_total"),
     };
     return I;
   }
@@ -105,9 +83,6 @@ AsyncSynthesisService::AsyncSynthesisService(AsyncOptions O)
     : Opts(O), Svc(std::move(O.Service)),
       Pool(ThreadPool::Options{Opts.Workers, Opts.QueueCap,
                                Opts.CoalesceBatch, Opts.Clock}) {
-  if (Opts.LoadControl.Enabled)
-    Controller = std::make_unique<LoadController>(
-        Opts.LoadControl, Opts.QueueCap, Opts.CoalesceBatch, Opts.Clock);
   // Upgrade the endpoint's /statusz to the async view (queue depth, shed
   // counts) and its health to the drain-aware answer, and register as
   // the POST /v1/synthesize engine: the data plane parks the connection
@@ -164,68 +139,6 @@ void AsyncSynthesisService::beginDrain(uint64_t GraceMs) {
   DrainFlag.store(true, std::memory_order_release);
 }
 
-void AsyncSynthesisService::addDomain(const Domain &D) {
-  Svc.addDomain(D);
-  auto DL = std::make_unique<DomainLoad>();
-  const ServiceOptions &Resolved = Svc.optionsFor(D.name());
-  DL->BudgetMs = Resolved.TotalBudgetMs;
-  DL->GateEnabled = Resolved.AdmissionGate;
-  // The controller's wait waters scale against the tightest registered
-  // budget: the domain with the least headroom is the one a congested
-  // queue dooms first.
-  if (DL->BudgetMs != 0 && (RefBudgetMs == 0 || DL->BudgetMs < RefBudgetMs))
-    RefBudgetMs = DL->BudgetMs;
-  Loads[D.name()] = std::move(DL);
-}
-
-AsyncSynthesisService::DomainLoad *
-AsyncSynthesisService::loadFor(std::string_view DomainName) {
-  auto It = Loads.find(DomainName);
-  return It == Loads.end() ? nullptr : It->second.get();
-}
-
-LoadSample AsyncSynthesisService::sampleLoad() {
-  LoadSample S;
-  {
-    std::lock_guard<std::mutex> L(SampleM);
-    LoadController::sampleWaitInterval(QueueWaitMs, PrevWaitCounts, S);
-  }
-  S.QueueDepth = Pool.queueDepth();
-  S.ShedTotal = Pool.stats().Rejected;
-  S.CancelledTotal = Cancelled.load(std::memory_order_relaxed);
-  for (const auto &[Name, DL] : Loads)
-    if (Svc.breakerState(Name) == SynthesisService::BreakerState::Open)
-      ++S.OpenBreakers;
-  S.BudgetMs = RefBudgetMs;
-
-  // Little's-law lead indicator. The interval histogram only shows the
-  // waits of tasks that already *finished* waiting, which lags a fast
-  // congestion onset by a full queue's worth of time — exactly the
-  // tasks the gate exists to reject. Current depth times the measured
-  // per-task service p50, divided by the real parallelism, predicts the
-  // wait a task admitted now would see; report whichever signal is
-  // worse so the gate reacts to onsets the histogram has not seen yet.
-  if (S.QueueDepth > 0) {
-    std::vector<uint64_t> SvcCounts;
-    for (const auto &[Name, DL] : Loads) {
-      std::vector<uint64_t> C = DL->ServiceMs.bucketSnapshot();
-      if (SvcCounts.empty())
-        SvcCounts.assign(C.size(), 0);
-      for (size_t I = 0; I < C.size(); ++I)
-        SvcCounts[I] += C[I];
-    }
-    double SvcP50 = obs::percentileFromCounts(
-        obs::Histogram::defaultLatencyBucketsMs(), SvcCounts, 50.0);
-    unsigned HW = std::thread::hardware_concurrency();
-    unsigned Par = std::max(1u, HW ? std::min(Pool.workers(), HW)
-                                   : Pool.workers());
-    double LeadMs =
-        static_cast<double>(S.QueueDepth) * SvcP50 / static_cast<double>(Par);
-    S.WaitP95Ms = std::max(S.WaitP95Ms, LeadMs);
-  }
-  return S;
-}
-
 std::future<ServiceReport>
 AsyncSynthesisService::submit(std::string_view DomainName,
                               std::string_view QueryText) {
@@ -267,68 +180,21 @@ AsyncSynthesisService::submit(std::string_view DomainName,
   // Resolve the domain up front: an unknown name fails immediately (no
   // queue slot burned), and a known one pins its deadline *now* so queue
   // wait counts against the query's own budget.
-  DomainLoad *DL = loadFor(DomainName);
-  if (!DL || !Svc.hasDomain(DomainName))
+  if (!Svc.hasDomain(DomainName))
     return Reject(ServiceStatus::UnknownDomain, "unknown-domain");
 
-  // Draining: stop admission first, before any controller bookkeeping —
-  // a departing worker must not accept work it may have to cancel.
+  // Draining: a departing worker must not accept work it may have to
+  // cancel.
   if (draining()) {
     DrainRejected.fetch_add(1, std::memory_order_relaxed);
     return Reject(ServiceStatus::Draining, "drain");
   }
 
-  // Controller tick before admission, so this submission is judged
-  // against fresh targets (at most one submitter per interval pays for
-  // the sampling; everyone else costs one atomic load).
-  if (Controller) {
-    if (auto D = Controller->maybeTick([this] { return sampleLoad(); })) {
-      Pool.setQueueCap(D->QueueCap);
-      Pool.setCoalesceBatch(D->CoalesceBatch);
-      if (obs::metricsEnabled()) {
-        LoadInstruments &LM = LoadInstruments::get();
-        LM.QueueCap.set(static_cast<int64_t>(D->QueueCap));
-        LM.CoalesceBatch.set(D->CoalesceBatch);
-        LM.WaitP95Ms.set(static_cast<int64_t>(Controller->waitP95Ms()));
-        int64_t Gated = 0;
-        for (const auto &[Name, L] : Loads)
-          if (L->Gated.load(std::memory_order_relaxed))
-            ++Gated;
-        LM.GatedDomains.set(Gated);
-        LM.Ticks.inc();
-        if (D->CapGrew)
-          LM.CapGrows.inc();
-        if (D->CapShrank)
-          LM.CapShrinks.inc();
-      }
-    }
-  }
-
-  // Deadline-aware admission: when the measured p95 queue wait plus the
-  // domain's tail service time (GateServicePercentile, default p90 — p50
-  // was optimistic for heavy-tailed domains) already exceeds the query's
-  // budget, the queue would only carry it to a cancellation — reject now
-  // instead.
-  if (Controller && DL->GateEnabled &&
-      !Controller->admit(
-          DL->ServiceMs.percentile(Opts.LoadControl.GateServicePercentile),
-          DL->BudgetMs, DL->Gated)) {
-    GateRejected.fetch_add(1, std::memory_order_relaxed);
-    if (obs::metricsEnabled()) {
-      LoadInstruments::get().GateRejected.inc();
-      obs::registry()
-          .counter("dggt_service_queries_total",
-                   {{"domain", std::string(DomainName)},
-                    {"status",
-                     std::string(serviceStatusName(ServiceStatus::Overloaded))}})
-          .inc();
-    }
-    return Reject(ServiceStatus::Overloaded, "gate");
-  }
-
   auto Task = std::make_shared<std::packaged_task<ServiceReport()>>();
 
-  uint64_t BudgetMs = SO.BudgetMs != 0 ? SO.BudgetMs : DL->BudgetMs;
+  uint64_t BudgetMs = SO.BudgetMs != 0
+                          ? SO.BudgetMs
+                          : Svc.optionsFor(DomainName).TotalBudgetMs;
   Budget::Clock::time_point Deadline =
       clockNow(Opts.Clock) + std::chrono::milliseconds(BudgetMs);
   bool Limited = BudgetMs != 0;
@@ -337,7 +203,7 @@ AsyncSynthesisService::submit(std::string_view DomainName,
   std::string Domain(DomainName);
   std::string Query(QueryText);
   *Task = std::packaged_task<ServiceReport()>(
-      [this, DL, Domain = std::move(Domain), Query = std::move(Query),
+      [this, Domain = std::move(Domain), Query = std::move(Query),
        Deadline, Limited, Enqueued, Done, Ctx, OwnsRecord,
        BudgetMs]() -> ServiceReport {
         AsyncInstruments &M = AsyncInstruments::get();
@@ -345,7 +211,6 @@ AsyncSynthesisService::submit(std::string_view DomainName,
                             clockNow(Opts.Clock) - Enqueued)
                             .count();
         M.QueueDepth.set(static_cast<int64_t>(Pool.queueDepth()));
-        QueueWaitMs.observe(WaitMs);
         if (obs::metricsEnabled())
           M.QueueWaitMs.observe(WaitMs);
 
@@ -405,10 +270,6 @@ AsyncSynthesisService::submit(std::string_view DomainName,
         }
         Budget Total = Lim ? Budget::until(Eff, Opts.Clock) : Budget();
         ServiceReport Rep = Svc.query(Domain, Query, Total);
-        // Feed the gate's service-time prior from real runs only (a
-        // cancelled task's 0-second "service" would teach the gate that
-        // doomed work is fast).
-        DL->ServiceMs.observe(Rep.TotalSeconds * 1000.0);
         Completed.fetch_add(1, std::memory_order_relaxed);
         return Finish(std::move(Rep));
       });
@@ -438,7 +299,6 @@ AsyncStats AsyncSynthesisService::stats() const {
   AsyncStats St;
   St.Submitted = P.Submitted;
   St.Shed = P.Rejected;
-  St.GateRejected = GateRejected.load(std::memory_order_relaxed);
   St.Cancelled = Cancelled.load(std::memory_order_relaxed);
   St.Completed = Completed.load(std::memory_order_relaxed);
   St.Coalesced = P.Coalesced;
@@ -449,33 +309,16 @@ AsyncStats AsyncSynthesisService::stats() const {
 std::string AsyncSynthesisService::statusJson() const {
   AsyncStats St = stats();
   std::ostringstream OS;
-  // queue_cap / coalesce_batch report the *effective* limits: equal to
-  // the configured statics until the load controller moves them.
   OS << "{\"workers\":" << workers() << ",\"queue_depth\":" << queueDepth()
      << ",\"queue_cap\":" << queueCap()
      << ",\"running\":" << runningTasks()
      << ",\"coalesce_batch\":" << coalesceBatch()
      << ",\"submitted\":" << St.Submitted << ",\"shed\":" << St.Shed
-     << ",\"gate_rejected\":" << St.GateRejected
      << ",\"cancelled\":" << St.Cancelled
      << ",\"completed\":" << St.Completed
      << ",\"coalesced\":" << St.Coalesced
      << ",\"draining\":" << (draining() ? "true" : "false")
-     << ",\"drain_rejected\":" << St.DrainRejected << ",\"load_control\":{";
-  if (Controller) {
-    LoadController::Stats CS = Controller->stats();
-    size_t Gated = 0;
-    for (const auto &[Name, L] : Loads)
-      if (L->Gated.load(std::memory_order_relaxed))
-        ++Gated;
-    OS << "\"enabled\":true,\"wait_p95_ms\":" << Controller->waitP95Ms()
-       << ",\"wait_p50_ms\":" << Controller->waitP50Ms()
-       << ",\"ticks\":" << CS.Ticks << ",\"cap_grows\":" << CS.CapGrows
-       << ",\"cap_shrinks\":" << CS.CapShrinks
-       << ",\"gated_domains\":" << Gated;
-  } else {
-    OS << "\"enabled\":false";
-  }
-  OS << "},\"serial\":" << Svc.statusJson() << "}";
+     << ",\"drain_rejected\":" << St.DrainRejected
+     << ",\"serial\":" << Svc.statusJson() << "}";
   return OS.str();
 }

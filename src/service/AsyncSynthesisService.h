@@ -25,15 +25,11 @@
 ///      so consecutive queries share that domain's warm PathCache /
 ///      ApiCandidateCache working set.
 ///
-/// With AsyncOptions::LoadControl enabled a fourth behaviour appears:
-/// *adaptive load control*. A LoadController periodically re-derives the
-/// effective queue cap and coalesce batch from the measured queue-wait
-/// histogram, and a deadline-aware admission gate rejects a query at
-/// submit() (immediate Overloaded) when `p95 queue wait + the domain's
-/// p50 service time` already exceeds its budget — failing fast instead
-/// of cancelling after the wait. See service/LoadController.h for the
-/// control law; off by default, the static knobs then behave exactly as
-/// before.
+/// The queue cap and the coalesce batch are fixed at construction.
+/// Overload is answered by shedding at the cap (1), by cancelling stale
+/// work at dequeue (2), and by the wrapped service's per-domain circuit
+/// breaker, which rejects at memcpy speed once consecutive deadline
+/// misses trip it.
 ///
 /// The layer is also the *network-facing* synthesis engine: at
 /// construction it registers a SynthesizeProvider on the wrapped
@@ -56,12 +52,11 @@
 #ifndef DGGT_SERVICE_ASYNCSYNTHESISSERVICE_H
 #define DGGT_SERVICE_ASYNCSYNTHESISSERVICE_H
 
-#include "service/LoadController.h"
 #include "service/SynthesisService.h"
 #include "support/ThreadPool.h"
 
+#include <atomic>
 #include <future>
-#include <map>
 
 namespace dggt {
 
@@ -72,20 +67,12 @@ struct AsyncOptions {
   /// Worker threads (0 = hardware concurrency).
   unsigned Workers = 4;
   /// Queued-but-not-started cap; a full queue sheds new submissions with
-  /// ServiceStatus::Overloaded. 0 means unbounded (no shedding). With
-  /// the load controller enabled this is the *initial* cap; the live one
-  /// adapts (see queueCap()).
+  /// ServiceStatus::Overloaded. 0 means unbounded (no shedding).
   size_t QueueCap = 256;
-  /// Consecutive same-domain tasks a worker runs before rotating; the
-  /// initial value when the load controller is enabled.
+  /// Consecutive same-domain tasks a worker runs before rotating.
   unsigned CoalesceBatch = 8;
-  /// Adaptive load control: derive the effective cap/batch from the
-  /// observed queue-wait histogram and gate doomed work at submit (see
-  /// service/LoadController.h). Off by default — the static knobs above
-  /// then behave exactly as before.
-  LoadControlOptions LoadControl;
-  /// Time source for deadlines, wait accounting and controller ticks;
-  /// null = real steady clock. Tests inject a VirtualClock.
+  /// Time source for deadlines and wait accounting; null = real steady
+  /// clock. Tests inject a VirtualClock.
   const ClockSource *Clock = nullptr;
 };
 
@@ -93,8 +80,10 @@ struct AsyncOptions {
 struct AsyncStats {
   uint64_t Submitted = 0;    ///< Accepted onto the queue.
   uint64_t Shed = 0;         ///< Rejected at submit() by the queue cap.
-  uint64_t GateRejected = 0; ///< Rejected at submit() by the admission
-                             ///< gate (predicted deadline miss).
+  /// Always 0. The layer has no admission gate; the field is kept only
+  /// because the repository benchmark (perfbench) still sums it into its
+  /// shed count, and is to be dropped together with that read.
+  uint64_t GateRejected = 0;
   uint64_t Cancelled = 0;    ///< Dequeued past deadline, past the drain
                              ///< deadline, or with a set cancel token;
                              ///< not run.
@@ -130,11 +119,11 @@ public:
 
   /// Registers \p D on the wrapped service. Single-threaded setup only;
   /// must happen before the first submit().
-  void addDomain(const Domain &D);
+  void addDomain(const Domain &D) { Svc.addDomain(D); }
 
   /// Completion callback of the extended submit(); invoked exactly once
   /// — synchronously for immediate rejections (unknown domain, shed,
-  /// gate, draining), from the worker thread otherwise.
+  /// draining), from the worker thread otherwise.
   using Callback = std::function<void(const ServiceReport &)>;
 
   /// Enqueues the query and returns its future. Always returns a valid
@@ -177,14 +166,9 @@ public:
   size_t runningTasks() const { return Pool.running(); }
   unsigned workers() const { return Pool.workers(); }
 
-  /// Live effective limits (equal to the configured statics until the
-  /// load controller moves them).
+  /// The queue cap and coalesce batch fixed at construction.
   size_t queueCap() const { return Pool.queueCap(); }
   unsigned coalesceBatch() const { return Pool.coalesceBatch(); }
-
-  /// The adaptive controller, or null when LoadControl.Enabled is false.
-  LoadController *loadController() { return Controller.get(); }
-  const LoadController *loadController() const { return Controller.get(); }
 
   AsyncStats stats() const;
 
@@ -199,42 +183,12 @@ public:
   void drain() { Pool.drain(); }
 
 private:
-  /// Per-domain load state: an always-on service-time histogram feeding
-  /// the gate's p50 prediction, the domain's gate hysteresis latch, and
-  /// its resolved budget/opt-out. Written only during single-threaded
-  /// addDomain() setup; read concurrently afterwards.
-  struct DomainLoad {
-    obs::Histogram ServiceMs{obs::Histogram::defaultLatencyBucketsMs()};
-    std::atomic<bool> Gated{false};
-    uint64_t BudgetMs = 0;
-    bool GateEnabled = true;
-  };
-
-  /// Builds the controller's measured-state snapshot (wait percentiles
-  /// over the tick interval, depth, shed/cancel totals, breaker count).
-  LoadSample sampleLoad();
-  DomainLoad *loadFor(std::string_view DomainName);
-
   AsyncOptions Opts;
   SynthesisService Svc;
   ThreadPool Pool;
-  std::unique_ptr<LoadController> Controller;
-
-  /// Always-on queue-wait histogram (the registry twin is gated on the
-  /// global metrics switch; the controller must see waits regardless).
-  obs::Histogram QueueWaitMs{obs::Histogram::defaultLatencyBucketsMs()};
-  /// Previous wait-bucket snapshot for interval percentiles, and the
-  /// guard serializing sample construction across overlapping ticks.
-  std::vector<uint64_t> PrevWaitCounts;
-  std::mutex SampleM;
-
-  std::map<std::string, std::unique_ptr<DomainLoad>, std::less<>> Loads;
-  /// Tightest registered per-query budget (the controller's reference).
-  uint64_t RefBudgetMs = 0;
 
   std::atomic<uint64_t> Cancelled{0};
   std::atomic<uint64_t> Completed{0};
-  std::atomic<uint64_t> GateRejected{0};
   std::atomic<uint64_t> DrainRejected{0};
 
   /// Drain state: the flag gates admission, the deadline (clock ticks

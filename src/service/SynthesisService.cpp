@@ -190,8 +190,6 @@ ServiceOptions ServiceOptions::resolvedFor(std::string_view DomainName) const {
     R.PathCacheBytes = *O.PathCacheBytes;
   if (O.WordCacheBytes)
     R.WordCacheBytes = *O.WordCacheBytes;
-  if (O.AdmissionGate)
-    R.AdmissionGate = *O.AdmissionGate;
   return R;
 }
 

@@ -171,7 +171,6 @@ struct ServiceOptions {
     std::optional<uint64_t> BreakerCooldownMs;
     std::optional<uint64_t> PathCacheBytes;
     std::optional<uint64_t> WordCacheBytes;
-    std::optional<bool> AdmissionGate;
   };
 
   /// Total per-query deadline (the interactive budget).
@@ -199,11 +198,6 @@ struct ServiceOptions {
   uint64_t PathCacheBytes = 4ull << 20;
   /// Byte budget of the per-domain WordToAPI candidate memo; 0 disables.
   uint64_t WordCacheBytes = 1ull << 20;
-  /// Whether the async layer's deadline-aware admission gate may reject
-  /// this domain's queries at submit (see service/LoadController.h; only
-  /// consulted when the load controller is enabled). A latency-tolerant
-  /// batch domain can opt out per-domain and queue through spikes.
-  bool AdmissionGate = true;
 
   /// Per-domain overrides, keyed by domain name. A latency-tolerant batch
   /// domain can run with a bigger budget and no HISyn fallback while an

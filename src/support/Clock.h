@@ -2,11 +2,10 @@
 ///
 /// \file
 /// A tiny seam between "what time is it" and everything that schedules
-/// on time: budgets, queue-wait accounting, and the adaptive load
-/// controller's tick cadence. Production code reads the real
-/// std::chrono::steady_clock through steadyClock(); tests inject a
-/// VirtualClock and advance it by hand, so every deadline and every
-/// controller decision is reproducible without sleeps or wall-time
+/// on time: budgets, submission-time deadlines and queue-wait
+/// accounting. Production code reads the real std::chrono::steady_clock
+/// through steadyClock(); tests inject a VirtualClock and advance it by
+/// hand, so every deadline is reproducible without sleeps or wall-time
 /// flakiness.
 ///
 /// The interface is deliberately minimal — one now() — because the

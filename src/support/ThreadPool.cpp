@@ -3,6 +3,7 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <atomic>
 
 using namespace dggt;
 
@@ -18,8 +19,6 @@ ThreadPool::ThreadPool(Options O) : Opts(O) {
   if (Opts.Workers == 0)
     Opts.Workers = std::max(1u, std::thread::hardware_concurrency());
   Opts.CoalesceBatch = std::max(1u, Opts.CoalesceBatch);
-  EffQueueCap.store(Opts.QueueCap, std::memory_order_relaxed);
-  EffCoalesceBatch.store(Opts.CoalesceBatch, std::memory_order_relaxed);
   Threads.reserve(Opts.Workers);
   for (unsigned I = 0; I < Opts.Workers; ++I)
     Threads.emplace_back([this] { workerLoop(); });
@@ -38,10 +37,9 @@ ThreadPool::~ThreadPool() {
 bool ThreadPool::trySubmit(std::string_view Key, std::function<void()> Fn) {
   if (TaskWrapper W = GlobalTaskWrapper.load(std::memory_order_acquire))
     Fn = W(std::move(Fn));
-  size_t Cap = EffQueueCap.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> L(M);
-    if (Stopping || (Cap != 0 && Size >= Cap)) {
+    if (Stopping || (Opts.QueueCap != 0 && Size >= Opts.QueueCap)) {
       ++Counts.Rejected;
       return false;
     }
@@ -94,8 +92,7 @@ void ThreadPool::workerLoop() {
     // cap; then rotate to the next ready key for fairness.
     std::deque<QueuedTask> *Q = nullptr;
     bool Coalesced = false;
-    if (!LastKey.empty() &&
-        Batch < EffCoalesceBatch.load(std::memory_order_relaxed)) {
+    if (!LastKey.empty() && Batch < Opts.CoalesceBatch) {
       auto It = Queues.find(LastKey);
       if (It != Queues.end() && !It->second.empty()) {
         Q = &It->second;

@@ -6,10 +6,10 @@
 /// tasks of one key run in FIFO order, and a worker that just ran a task
 /// for key K keeps draining K's queue for up to Options::CoalesceBatch
 /// tasks before rotating to another key. This per-key coalescing is what
-/// makes shared per-domain state (path caches, grammar reachability
-/// tables) stay warm under mixed traffic: consecutive queries against
-/// the same domain hit the same caches back to back instead of
-/// interleaving with other domains' working sets.
+/// makes shared per-domain state (the path and word caches, the
+/// domain's grammar graph) stay warm under mixed traffic: consecutive
+/// queries against the same domain hit the same caches back to back
+/// instead of interleaving with other domains' working sets.
 ///
 /// Fairness across keys is round-robin over a ready list, so one
 /// flooding key cannot starve the others for longer than a batch.
@@ -25,7 +25,6 @@
 
 #include "support/Clock.h"
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -100,20 +99,9 @@ public:
 
   unsigned workers() const { return static_cast<unsigned>(Threads.size()); }
 
-  /// Live limits. The setters let a load controller retune a running
-  /// pool: both take effect on the next trySubmit() / key rotation, and
-  /// shrinking the cap below the current depth only stops *new*
-  /// admissions (accepted tasks always run).
-  size_t queueCap() const { return EffQueueCap.load(std::memory_order_relaxed); }
-  void setQueueCap(size_t Cap) {
-    EffQueueCap.store(Cap, std::memory_order_relaxed);
-  }
-  unsigned coalesceBatch() const {
-    return EffCoalesceBatch.load(std::memory_order_relaxed);
-  }
-  void setCoalesceBatch(unsigned Batch) {
-    EffCoalesceBatch.store(Batch < 1 ? 1 : Batch, std::memory_order_relaxed);
-  }
+  /// Limits fixed at construction (the batch clamped to at least 1).
+  size_t queueCap() const { return Opts.QueueCap; }
+  unsigned coalesceBatch() const { return Opts.CoalesceBatch; }
 
   Stats stats() const;
 
@@ -130,10 +118,6 @@ private:
   };
 
   Options Opts;
-  /// Live limits, runtime-adjustable without the mutex (relaxed is fine:
-  /// the cap is advisory backpressure, not an invariant).
-  std::atomic<size_t> EffQueueCap{0};
-  std::atomic<unsigned> EffCoalesceBatch{1};
   mutable std::mutex M;
   std::condition_variable WorkReady;
   std::condition_variable Idle;

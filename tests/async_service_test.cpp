@@ -316,6 +316,28 @@ TEST_F(AsyncServiceTest, FullQueueShedsWithOverloadedReport) {
   EXPECT_EQ(S.stats().Completed, 2u);
 }
 
+TEST_F(AsyncServiceTest, StatusJsonReportsTheConstructionLimits) {
+  // The queue cap and coalesce batch are fixed at construction; /statusz
+  // reports them unchanged after traffic.
+  AsyncOptions Opts;
+  Opts.Workers = 2;
+  Opts.QueueCap = 64;
+  Opts.CoalesceBatch = 4;
+  AsyncSynthesisService S(Opts);
+  S.addDomain(textEditing());
+
+  for (int I = 0; I < 3; ++I)
+    EXPECT_TRUE(S.submit("TextEditing", "sort all lines").get().ok());
+  EXPECT_EQ(S.queueCap(), 64u);
+  EXPECT_EQ(S.coalesceBatch(), 4u);
+
+  std::string J = S.statusJson();
+  EXPECT_NE(J.find("\"queue_cap\":64"), std::string::npos) << J;
+  EXPECT_NE(J.find("\"coalesce_batch\":4"), std::string::npos) << J;
+  EXPECT_NE(J.find("\"completed\":3"), std::string::npos) << J;
+  EXPECT_EQ(S.stats().GateRejected, 0u);
+}
+
 TEST_F(AsyncServiceTest, QueuedPastDeadlineIsCancelledNotRun) {
   // A query's deadline is fixed at submit(). The worker is held on a
   // long blocker (transient-fault backoff), so by the time it dequeues

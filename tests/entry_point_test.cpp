@@ -7,12 +7,17 @@
 // and for a TextEditing near-miss that DGGT rejects but the service's
 // HISyn rung could answer, all four must report the same status and the
 // same expression. Zero tolerance: one disagreement fails the suite.
+// The async leg also checks that the query's one query-log record says
+// exactly what its ServiceReport says: outcome, rung, attempts and
+// retries, stage and total latencies, queue wait and every cost counter.
 //
 //===----------------------------------------------------------------------===//
 
 #include "domains/Domain.h"
 #include "obs/Export.h"
 #include "obs/HttpEndpoint.h"
+#include "obs/QueryLog.h"
+#include "obs/Trace.h"
 #include "service/AsyncSynthesisService.h"
 #include "synth/dggt/DggtSynthesizer.h"
 
@@ -22,6 +27,7 @@
 
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -78,6 +84,37 @@ Answer fromReport(const ServiceReport &Rep) {
           Rep.ok() ? Rep.Result.Expression : ""};
 }
 
+/// Where the query-log record \p R differs from the report \p Rep it
+/// was written from; empty when they agree exactly.
+std::string recordVsReport(const obs::QueryLogRecord &R,
+                           const ServiceReport &Rep) {
+  std::ostringstream Diff;
+  Diff.precision(17);
+  auto Check = [&](const std::string &Field, const auto &Logged,
+                   const auto &Reported) {
+    if (!(Logged == Reported))
+      Diff << " " << Field << ": logged " << Logged << ", reported "
+           << Reported << ";";
+  };
+  Check("outcome", R.Outcome, std::string(serviceStatusName(Rep.St)));
+  Check("rung", R.Rung,
+        Rep.AnsweredBy ? std::string(rungName(*Rep.AnsweredBy)) : "");
+  Check("attempts", size_t{R.Attempts}, Rep.Attempts.size());
+  size_t Retries = 0;
+  for (const RungAttempt &A : Rep.Attempts)
+    Retries += A.Try > 0;
+  Check("retries", size_t{R.Retries}, Retries);
+  for (size_t I = 0; I < Rep.StageMs.size(); ++I)
+    Check(std::string("stage_ms.") + obs::QueryStageNames[I], R.StageMs[I],
+          Rep.StageMs[I]);
+  Check("total_ms", R.TotalMs, Rep.TotalSeconds * 1000.0);
+  Check("queue_wait_ms", R.QueueWaitMs, Rep.QueueWaitMs);
+  if (!(R.Cost == Rep.Cost))
+    Diff << " cost: logged " << obs::costCountersJson(R.Cost)
+         << ", reported " << obs::costCountersJson(Rep.Cost) << ";";
+  return Diff.str();
+}
+
 /// The decoded value of the JSON string field \p Key in \p Json, or
 /// nullopt when absent. Handles the escapes obs::escapeJson emits for
 /// codelets and status names (quotes and backslashes).
@@ -122,6 +159,9 @@ protected:
     Service = new AsyncSynthesisService(Opts);
     Service->addDomain(*TextEditing);
     Service->addDomain(*AstMatcher);
+    // Each query's records are read right after it completes, so a
+    // short ring holds them and keeps each snapshot cheap.
+    obs::queryLog().configureRing(64);
   }
 
   static void TearDownTestSuite() {
@@ -131,7 +171,9 @@ protected:
   }
 
   struct Tally {
-    size_t Mismatches = 0; ///< Queries some entry point answered differently.
+    /// Queries some entry point answered differently, or whose async
+    /// query-log record disagreed with its report.
+    size_t Mismatches = 0;
     size_t Answered = 0;   ///< Queries all four answered with a codelet.
   };
 
@@ -148,17 +190,38 @@ protected:
       Answer Direct = direct(D, Q);
       Answer Svc = fromReport(
           Service->service().query(D.name(), Q, Budget(BudgetMs)));
-      Answer Async = fromReport(Service->submit(D.name(), Q).get());
+      // The async leg mints its own context, so that the query's records
+      // can be found by trace id. The worker writes the record before it
+      // completes the future (other legs' records may land at any time).
+      SubmitOptions SO;
+      SO.Ctx = obs::startQueryContext();
+      ServiceReport AsyncRep =
+          Service->submit(D.name(), Q, SO, nullptr).get();
+      Answer Async = fromReport(AsyncRep);
+      std::vector<obs::QueryLogRecord> Recs;
+      for (obs::QueryLogRecord &R : obs::queryLog().snapshot())
+        if (R.TraceId == SO.Ctx.traceIdHex())
+          Recs.push_back(std::move(R));
+      std::string RecordDiff =
+          Recs.size() != 1
+              ? " " + std::to_string(Recs.size()) + " records;"
+              : recordVsReport(Recs.front(), AsyncRep);
       Answer Http = overHttp(Ep->port(), D.name(), Q);
-      if (Direct == Svc && Direct == Async && Direct == Http) {
+      bool AnswersAgree = Direct == Svc && Direct == Async && Direct == Http;
+      if (AnswersAgree && RecordDiff.empty()) {
         T.Answered += Direct.Status == serviceStatusName(ServiceStatus::Ok);
         continue;
       }
       ++T.Mismatches;
-      ADD_FAILURE() << D.name() << " \"" << Q << "\": direct "
-                    << describe(Direct) << " | service " << describe(Svc)
-                    << " | async " << describe(Async) << " | http "
-                    << describe(Http);
+      if (!AnswersAgree)
+        ADD_FAILURE() << D.name() << " \"" << Q << "\": direct "
+                      << describe(Direct) << " | service " << describe(Svc)
+                      << " | async " << describe(Async) << " | http "
+                      << describe(Http);
+      if (!RecordDiff.empty())
+        ADD_FAILURE() << D.name() << " \"" << Q
+                      << "\": query-log record vs async report:"
+                      << RecordDiff;
     }
     return T;
   }

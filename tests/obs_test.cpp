@@ -154,6 +154,38 @@ TEST_F(ObsTest, HistogramPercentiles) {
   EXPECT_LE(H.p90(), H.p99());
 }
 
+TEST_F(ObsTest, IntervalPercentileSeesOnlyTheBucketDelta) {
+  // A cumulative histogram's percentiles over one interval: the
+  // element-wise difference of two bucketSnapshot()s fed through
+  // percentileFromCounts, the estimator Histogram::percentile() uses.
+  obs::Histogram H(obs::Histogram::defaultLatencyBucketsMs());
+  std::vector<uint64_t> Prev(H.bounds().size() + 1, 0);
+  auto IntervalPercentile = [&](double P) {
+    std::vector<uint64_t> Now = H.bucketSnapshot();
+    std::vector<uint64_t> Delta(Now.size());
+    for (size_t I = 0; I < Now.size(); ++I)
+      Delta[I] = Now[I] - Prev[I];
+    Prev = std::move(Now);
+    return obs::percentileFromCounts(H.bounds(), Delta, P);
+  };
+
+  for (int I = 0; I < 100; ++I)
+    H.observe(10);
+  double P50 = IntervalPercentile(50);
+  EXPECT_GT(P50, 0.0);
+  EXPECT_LE(P50, 50.0) << "an all-10ms interval has a small p50";
+
+  // No new observations: the interval is empty and reads zero.
+  EXPECT_EQ(IntervalPercentile(95), 0.0);
+
+  // A slow burst dominates the interval even though the cumulative
+  // histogram is still mostly 10 ms samples.
+  for (int I = 0; I < 10; ++I)
+    H.observe(800);
+  EXPECT_GT(IntervalPercentile(95), 400.0);
+  EXPECT_LE(H.p50(), 50.0) << "the cumulative p50 still reads the history";
+}
+
 TEST_F(ObsTest, DefaultLatencyBucketsAreStrictlyIncreasing) {
   const std::vector<double> &B = obs::Histogram::defaultLatencyBucketsMs();
   ASSERT_GE(B.size(), 2u);
